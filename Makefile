@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check ci bench scaling bench-race bench-runtime bench-jobs bench-obs chaos
+.PHONY: build vet test race verify fmt-check ci bench scaling bench-race bench-runtime bench-jobs bench-obs chaos lambdabench lambdabench-compare
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,18 @@ bench-jobs:
 ## the E16 thousand-job stream); refreshes BENCH_obs.json.
 bench-obs:
 	$(GO) run ./cmd/benchrunner -exp obsoverhead -obs-json BENCH_obs.json
+
+## lambdabench: the end-to-end benchmark (lambdabench/README.md), every
+## workload at one seed; each report goes to $(OUT)/<workload>-seed<N>.json.
+SEED ?= 1
+OUT ?= .bench_build/reports
+lambdabench:
+	bash lambdabench/run.sh -workload all -seed $(SEED) -json $(OUT)
+
+## lambdabench-compare: compare two directories of lambdabench reports,
+## e.g. make lambdabench-compare BASE=base/ HEAD=head/
+lambdabench-compare:
+	bash lambdabench/run.sh -compare $(BASE) $(HEAD)
 
 ## chaos: the crash-recovery suite under the race detector — kill/resume at
 ## every checkpoint boundary, torn-write fallback, daemon drain/re-adopt.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/backend/instrumented"
@@ -19,7 +20,7 @@ import (
 // filename stem checkpoints are stored under in Options.Durability.CheckpointDir
 // (sanitized for the filesystem by the store).
 func RunID(workload string, seed int64) string {
-	return fmt.Sprintf("%s-seed%d", workload, seed)
+	return workload + "-seed" + strconv.FormatInt(seed, 10)
 }
 
 // DBMS selects the emulated database flavor.

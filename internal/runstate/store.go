@@ -38,11 +38,12 @@ type Store struct {
 
 // NewStore creates a store for one run's checkpoints.
 func NewStore(dir, runID string) *Store {
-	return &Store{Dir: dir, RunID: sanitizeRunID(runID)}
+	return &Store{Dir: dir, RunID: SanitizeRunID(runID)}
 }
 
-// sanitizeRunID makes a run identifier filesystem-safe.
-func sanitizeRunID(id string) string {
+// SanitizeRunID makes a run identifier filesystem-safe: the stem NewStore
+// names the checkpoint file with. It is idempotent.
+func SanitizeRunID(id string) string {
 	if id == "" {
 		return "run"
 	}

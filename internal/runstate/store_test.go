@@ -170,8 +170,12 @@ func TestSanitizeRunID(t *testing.T) {
 		"UPPER.lower-123": "UPPER.lower-123",
 	}
 	for in, want := range cases {
-		if got := sanitizeRunID(in); got != want {
-			t.Errorf("sanitizeRunID(%q) = %q, want %q", in, got, want)
+		got := SanitizeRunID(in)
+		if got != want {
+			t.Errorf("SanitizeRunID(%q) = %q, want %q", in, got, want)
+		}
+		if again := SanitizeRunID(got); again != got {
+			t.Errorf("SanitizeRunID not idempotent: %q -> %q", got, again)
 		}
 	}
 	s := NewStore(t.TempDir(), "../../escape")

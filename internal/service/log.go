@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"lambdatune"
+	"lambdatune/internal/runstate"
 	"lambdatune/internal/workload"
 )
 
@@ -26,19 +27,28 @@ func resolveLogger(logger *slog.Logger, logf func(string, ...any)) *slog.Logger 
 // jobLog returns the manager logger bound to the job's identity: every
 // job-scoped line carries the same job_id / tenant / run_id keys, so one
 // grep (or one structured-log query) follows a job across enqueue, run,
-// panic, and finish.
+// panic, and finish. The attrs go to the handler directly rather than
+// through Logger.With, which would box each value: this runs at least twice
+// per job.
 func (m *Manager) jobLog(job *Job) *slog.Logger {
-	return m.log.With("job_id", job.ID, "tenant", job.Spec.Tenant, "run_id", runIDOf(&job.Spec))
+	return slog.New(m.log.Handler().WithAttrs([]slog.Attr{
+		slog.String("job_id", job.ID),
+		slog.String("tenant", job.Spec.Tenant),
+		slog.String("run_id", runIDOf(&job.Spec)),
+	}))
 }
 
-// runIDOf derives the job's run identity — the workload display name + seed
-// stem its durable checkpoints are stored under — so log lines correlate
-// directly with checkpoint files and trace exports.
+// runIDOf derives the job's run identity — the sanitised stem its durable
+// checkpoints are stored under — so log lines correlate directly with
+// checkpoint files and trace exports. It reads the benchmark's title from
+// the workload table and never builds the workload: jobLog runs on every
+// enqueue and run, and building JOB parses all 113 of its queries.
 func runIDOf(spec *JobSpec) string {
-	if w, err := workload.ByName(spec.Benchmark); err == nil {
-		return lambdatune.RunID(w.Name, spec.seed())
+	name := spec.Benchmark
+	if title, err := workload.Title(name); err == nil {
+		name = title
 	}
-	return lambdatune.RunID(spec.Benchmark, spec.seed())
+	return runstate.SanitizeRunID(lambdatune.RunID(name, spec.seed()))
 }
 
 // logfHandler adapts slog records onto a printf-style sink. It keeps the old

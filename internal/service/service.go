@@ -807,7 +807,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 		opts.Faults = &lambdatune.FaultPlan{LLMRate: spec.LLMFaultRate, EngineRate: spec.EngineFaultRate, Seed: opts.Seed}
 	}
 	// Resume when a previous attempt left a checkpoint behind.
-	ckpt := runstate.NewStore(jobDir, lambdatune.RunID(w.Name(), opts.Seed))
+	ckpt := runstate.NewStore(jobDir, runIDOf(&spec))
 	if _, err := os.Stat(ckpt.Path()); err == nil {
 		opts.Durability.Resume = true
 	}

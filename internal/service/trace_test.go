@@ -6,15 +6,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lambdatune/internal/obs"
+	"lambdatune/internal/runstate"
 )
 
 // TestTraceEndpointCompletedJob covers the happy path: a finished job serves
@@ -321,6 +325,7 @@ func TestJobLogsCarryIdentityKeys(t *testing.T) {
 	out := buf.String()
 	mu.Unlock()
 	seen := map[string]bool{}
+	okRunIDs := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -333,6 +338,10 @@ func TestJobLogsCarryIdentityKeys(t *testing.T) {
 				if _, has := rec[key]; !has {
 					t.Errorf("log %q missing %s: %s", msg, key, line)
 				}
+			}
+			if jid == ok.ID {
+				rid, _ := rec["run_id"].(string)
+				okRunIDs[rid] = true
 			}
 		}
 		if msg == "job panicked" {
@@ -351,6 +360,55 @@ func TestJobLogsCarryIdentityKeys(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("no %q log line; got messages %v", want, seen)
 		}
+	}
+	// run_id is the checkpoint stem: one value across the job's lines, and
+	// it names the checkpoint file the run left in the job's directory.
+	if len(okRunIDs) != 1 {
+		t.Fatalf("job %s logged run_ids %v, want exactly one", ok.ID, okRunIDs)
+	}
+	for rid := range okRunIDs {
+		ckpt := filepath.Join(cfg.DataDir, ok.ID, rid+runstate.CheckpointExt)
+		if _, err := os.Stat(ckpt); err != nil {
+			t.Errorf("run_id %q names no checkpoint: %v", rid, err)
+		}
+	}
+}
+
+// jobLogJob is a JOB job: naming its run must not build the workload.
+var jobLogJob = &Job{ID: "job-000001", Spec: JobSpec{Benchmark: "job", Tenant: "acme"}}
+
+// jsonLogManager opens a manager that logs JSON to io.Discard, as the
+// daemon's -log-format json does.
+func jsonLogManager(tb testing.TB) *Manager {
+	tb.Helper()
+	m, err := Open(Config{
+		DataDir: tb.TempDir(),
+		Workers: 1,
+		Logger:  slog.New(slog.NewJSONHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = m.Close() })
+	return m
+}
+
+// TestJobLogCost guards the per-job cost of naming a run: jobLog runs on
+// every enqueue and again when the job runs, so it must stay a handful of
+// allocations rather than a parse of the benchmark's query set.
+func TestJobLogCost(t *testing.T) {
+	m := jsonLogManager(t)
+	allocs := testing.AllocsPerRun(100, func() { _ = m.jobLog(jobLogJob) })
+	if allocs > 16 {
+		t.Errorf("jobLog on a JOB spec: %.0f allocs per call, want <= 16", allocs)
+	}
+}
+
+func BenchmarkJobLog(b *testing.B) {
+	m := jsonLogManager(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = m.jobLog(jobLogJob)
 	}
 }
 

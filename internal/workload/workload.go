@@ -32,24 +32,69 @@ type Workload struct {
 	Queries []*engine.Query
 }
 
-// ByName returns the named benchmark workload. Recognized names:
-// "tpch-1", "tpch-10", "tpcds-1", "job".
-func ByName(name string) (*Workload, error) {
-	switch strings.ToLower(name) {
-	case "tpch-1", "tpch":
-		return TPCH(1), nil
-	case "tpch-10":
-		return TPCH(10), nil
-	case "tpcds-1", "tpcds":
-		return TPCDS(1), nil
-	case "job":
-		return JOB(), nil
+// builtin is one built-in benchmark: the canonical name Names lists, the
+// aliases ByName also accepts, the display title its Workload carries as
+// Name, and its constructor. Title reads the title without constructing —
+// building JOB parses 113 queries, too much to pay just to name a run.
+type builtin struct {
+	name    string
+	aliases []string
+	title   string
+	build   func() *Workload
+}
+
+// builtins is the one table ByName, Names and Title read.
+var builtins = []builtin{
+	{name: "tpch-1", aliases: []string{"tpch"}, title: "TPC-H SF1", build: func() *Workload { return TPCH(1) }},
+	{name: "tpch-10", title: "TPC-H SF10", build: func() *Workload { return TPCH(10) }},
+	{name: "tpcds-1", aliases: []string{"tpcds"}, title: "TPC-DS SF1", build: func() *Workload { return TPCDS(1) }},
+	{name: "job", title: "JOB", build: JOB},
+}
+
+// lookup finds a built-in benchmark by name or alias, case-insensitively.
+func lookup(name string) (*builtin, error) {
+	for i := range builtins {
+		b := &builtins[i]
+		if strings.EqualFold(name, b.name) {
+			return b, nil
+		}
+		for _, a := range b.aliases {
+			if strings.EqualFold(name, a) {
+				return b, nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
+// ByName returns the named benchmark workload. Recognized names:
+// "tpch-1", "tpch-10", "tpcds-1", "job".
+func ByName(name string) (*Workload, error) {
+	b, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return b.build(), nil
+}
+
+// Title returns the display name ByName(name).Name carries ("TPC-H SF1",
+// "JOB", ...) without building the workload.
+func Title(name string) (string, error) {
+	b, err := lookup(name)
+	if err != nil {
+		return "", err
+	}
+	return b.title, nil
+}
+
 // Names lists the recognized benchmark names.
-func Names() []string { return []string{"tpch-1", "tpch-10", "tpcds-1", "job"} }
+func Names() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	return names
+}
 
 // prepare compiles query texts, panicking on parse errors (the query sets
 // are fixed and covered by tests).

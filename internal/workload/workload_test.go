@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lambdatune/internal/engine"
@@ -121,6 +122,34 @@ func TestAllQueriesExecutable(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+	if _, err := Title("nope"); err == nil {
+		t.Error("Title accepted an unknown benchmark")
+	}
+}
+
+// TestTitleMatchesByName pins the benchmark table: Title must name every
+// accepted spelling exactly as the built workload does, or a daemon log's
+// run_id drifts from the checkpoint the run writes.
+func TestTitleMatchesByName(t *testing.T) {
+	names := append(Names(), "tpch", "tpcds")
+	for _, n := range Names() {
+		names = append(names, strings.ToUpper(n))
+	}
+	for _, n := range names {
+		title, err := Title(n)
+		if err != nil {
+			t.Errorf("Title(%q): %v", n, err)
+			continue
+		}
+		w, err := ByName(n)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", n, err)
+			continue
+		}
+		if title != w.Name {
+			t.Errorf("Title(%q) = %q, ByName(%q).Name = %q", n, title, n, w.Name)
+		}
 	}
 }
 
