@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check ci bench scaling bench-race bench-runtime bench-jobs bench-obs chaos lambdabench lambdabench-compare
+.PHONY: build vet test race verify fmt-check ci bench scaling bench-race bench-runtime bench-obs chaos lambdabench lambdabench-compare
 
 build:
 	$(GO) build ./...
@@ -39,11 +39,6 @@ bench-race:
 ## bench-runtime: the E15 shared-runtime reuse study; refreshes BENCH_runtime.json.
 bench-runtime:
 	$(GO) run ./cmd/benchrunner -exp runtime -runtime-json BENCH_runtime.json
-
-## bench-jobs: the E16 job-throughput study (legacy vs segmented-LRU memo
-## lifecycle under a 1000-job daemon stream); refreshes BENCH_jobs.json.
-bench-jobs:
-	$(GO) run ./cmd/benchrunner -exp jobs -jobs-json BENCH_jobs.json
 
 ## bench-obs: the E17 observability-overhead study (telemetry dark vs live on
 ## the E16 thousand-job stream); refreshes BENCH_obs.json.

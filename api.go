@@ -564,4 +564,4 @@ func (d *Database) SetPlanCache(on bool) { backend.SetPlanCache(d.db, on) }
 
 // PlanCacheStats returns the backend's plan-memoization counters (hits,
 // misses, evictions), or zeros on backends without the capability.
-func (d *Database) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCache(d.db) }
+func (d *Database) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCacheStats(d.db) }

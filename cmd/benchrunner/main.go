@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lambdatune/internal/bench"
-	"lambdatune/internal/bench/jobstudy"
 	"lambdatune/internal/bench/obsstudy"
 	"lambdatune/internal/bench/runtimestudy"
 )
@@ -39,7 +38,7 @@ func writeProfile(name, path string) {
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8 transfer outliers robustness scaling race runtime jobs obsoverhead all")
+		exp          = flag.String("exp", "all", "experiment: table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8 transfer outliers robustness scaling race runtime obsoverhead all")
 		trials       = flag.Int("trials", 3, "repetitions per scenario (the paper uses 3)")
 		seed         = flag.Int64("seed", 1, "base random seed")
 		burn         = flag.Duration("burn", 500*time.Microsecond, "real CPU burned per simulated query execution in the scaling study")
@@ -52,8 +51,7 @@ func main() {
 		traceDir     = flag.String("trace-dir", "", "write one JSONL span trace per λ-Tune run into this directory (inspect with `lambdatune trace-summary`)")
 		raceJSON     = flag.String("race-json", "", "also write the E14 racing study as machine-readable JSON to this file")
 		rtJSON       = flag.String("runtime-json", "", "also write the E15 shared-runtime study as machine-readable JSON to this file")
-		jobsJSON     = flag.String("jobs-json", "", "also write the E16 job-throughput study as machine-readable JSON to this file")
-		jobCount     = flag.Int("jobs", jobstudy.Jobs, "job count for the E16 job-throughput study and the E17 overhead study")
+		jobCount     = flag.Int("jobs", obsstudy.Jobs, "job count for the E17 overhead study")
 		obsJSON      = flag.String("obs-json", "", "also write the E17 observability-overhead study as machine-readable JSON to this file")
 	)
 	flag.Parse()
@@ -289,20 +287,6 @@ func main() {
 			return bench.RenderRace(s), nil
 		})
 	}
-	if all || *exp == "jobs" {
-		run("Job-throughput study (E16) — daemon-scale stream, legacy vs segmented-LRU lifecycle", func() (string, error) {
-			s, err := jobstudy.Run(*seed, *jobCount)
-			if err != nil {
-				return "", err
-			}
-			if *jobsJSON != "" {
-				if err := jobstudy.ExportJSON(*jobsJSON, s); err != nil {
-					return "", err
-				}
-			}
-			return jobstudy.Render(s), nil
-		})
-	}
 	if all || *exp == "obsoverhead" {
 		run("Observability-overhead study (E17) — telemetry dark vs live on the E16 stream", func() (string, error) {
 			s, err := obsstudy.Run(*seed, *jobCount)
@@ -333,7 +317,7 @@ func main() {
 	}
 	if !all {
 		switch *exp {
-		case "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "transfer", "outliers", "robustness", "scaling", "race", "runtime", "jobs", "obsoverhead":
+		case "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "transfer", "outliers", "robustness", "scaling", "race", "runtime", "obsoverhead":
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 			os.Exit(2)

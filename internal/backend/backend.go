@@ -148,35 +148,19 @@ type Instrumented interface {
 	BackendStats() Stats
 }
 
-// PlanCacheStats is the capability to report plan-memoization telemetry:
-// backends that cache query plans per configuration (the simulator does, see
-// engine/plancache.go) expose their hit/miss/evict counters here. The
-// instrumented decorator folds them into Stats.PlanCache.
-type PlanCacheStats interface {
-	PlanCacheStats() engine.PlanCacheStats
-}
-
-// PlanCacheToggler is the capability to switch plan memoization on or off.
+// PlanCache is the capability to memoize query plans per configuration (the
+// simulator does, see engine/plancache.go): report the hit/miss/evict
+// counters, switch memoization on or off, and report whether it is on.
 // Memoization never changes observable results — only host CPU time — so the
-// toggle exists for benchmarking and debugging, not for correctness.
-type PlanCacheToggler interface {
-	SetPlanCache(on bool)
-}
-
-// PlanCacheQuerier is the capability to report whether plan memoization is
-// currently enabled. Components that layer their own result memoization on
-// top of the backend (the evaluator's schedule-order memo) consult it so one
+// toggle exists for benchmarking and debugging, not for correctness. The
+// instrumented decorator folds the counters into Stats.PlanCache, and
+// components that layer their own result memoization on top of the backend
+// (the evaluator's schedule-order memo) consult PlanCacheEnabled so one
 // toggle governs every caching layer.
-type PlanCacheQuerier interface {
+type PlanCache interface {
+	PlanCacheStats() engine.PlanCacheStats
+	SetPlanCache(on bool)
 	PlanCacheEnabled() bool
-}
-
-// PlanCacheLifecycler is the capability to switch the plan cache's eviction
-// lifecycle between recency-aware compaction (default) and the historical
-// drop-oldest-layer mode. Like the on/off toggle it never changes observable
-// results — it exists so eviction benchmarks can A/B the lifecycles.
-type PlanCacheLifecycler interface {
-	SetPlanCacheLegacyEviction(legacy bool)
 }
 
 // HasFaultInjector reports whether b supports fault injection and has an
@@ -215,10 +199,10 @@ func Executions(b Backend) int {
 	return 0
 }
 
-// PlanCache returns b's plan-memoization counters, or zeros without the
+// PlanCacheStats returns b's plan-memoization counters, or zeros without the
 // capability.
-func PlanCache(b Backend) engine.PlanCacheStats {
-	if pc, ok := b.(PlanCacheStats); ok {
+func PlanCacheStats(b Backend) engine.PlanCacheStats {
+	if pc, ok := b.(PlanCache); ok {
 		return pc.PlanCacheStats()
 	}
 	return engine.PlanCacheStats{}
@@ -227,16 +211,8 @@ func PlanCache(b Backend) engine.PlanCacheStats {
 // SetPlanCache toggles b's plan memoization when supported; a no-op
 // otherwise.
 func SetPlanCache(b Backend, on bool) {
-	if t, ok := b.(PlanCacheToggler); ok {
-		t.SetPlanCache(on)
-	}
-}
-
-// SetPlanCacheLegacyEviction switches b's plan-cache eviction lifecycle when
-// supported; a no-op otherwise.
-func SetPlanCacheLegacyEviction(b Backend, legacy bool) {
-	if l, ok := b.(PlanCacheLifecycler); ok {
-		l.SetPlanCacheLegacyEviction(legacy)
+	if pc, ok := b.(PlanCache); ok {
+		pc.SetPlanCache(on)
 	}
 }
 
@@ -245,8 +221,8 @@ func SetPlanCacheLegacyEviction(b Backend, legacy bool) {
 // backend are exact regardless (their keys capture every backend value they
 // fold in), so only an explicit cache-off needs to disable them.
 func PlanCacheEnabled(b Backend) bool {
-	if q, ok := b.(PlanCacheQuerier); ok {
-		return q.PlanCacheEnabled()
+	if pc, ok := b.(PlanCache); ok {
+		return pc.PlanCacheEnabled()
 	}
 	return true
 }

@@ -467,7 +467,7 @@ func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 // memoization must never be observable in the measurements — repeat
 // measurements are self-consistent, and configuration or index mutations
 // never serve stale plans. When the backend reports plan-cache telemetry
-// (backend.PlanCacheStats) with a live cache, the counters must follow the
+// (backend.PlanCache) with a live cache, the counters must follow the
 // invalidation rules: identical re-measurement hits, a settings change
 // misses.
 func testPlanCacheCoherence(t *testing.T, f Factory) {
@@ -524,7 +524,7 @@ func testPlanCacheCoherence(t *testing.T, f Factory) {
 	// Telemetry contract, for backends with a live plan cache. (A decorator
 	// may advertise the capability while its inner backend does not memoize;
 	// zero lookups then simply skips the counter assertions.)
-	pc, ok := b.(backend.PlanCacheStats)
+	pc, ok := b.(backend.PlanCache)
 	if !ok || pc.PlanCacheStats().Lookups() == 0 {
 		return
 	}

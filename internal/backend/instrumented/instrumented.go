@@ -181,11 +181,11 @@ func (b *Backend) AttachMetrics(reg *obs.Registry) {
 // BackendStats implements backend.Instrumented: a consistent snapshot of the
 // accumulated telemetry, shared with all snapshots taken from this backend.
 // When the inner backend reports plan-memoization counters (the
-// backend.PlanCacheStats capability), they are folded into Stats.PlanCache
+// backend.PlanCache capability), they are folded into Stats.PlanCache
 // and, when a registry is attached, mirrored as backend_plan_cache_* gauges.
 func (b *Backend) BackendStats() backend.Stats {
 	st := b.c.snapshot()
-	st.PlanCache = backend.PlanCache(b.inner)
+	st.PlanCache = backend.PlanCacheStats(b.inner)
 	if reg := b.c.reg; reg != nil {
 		reg.Gauge("backend_plan_cache_hits").Set(float64(st.PlanCache.Hits))
 		reg.Gauge("backend_plan_cache_misses").Set(float64(st.PlanCache.Misses))
@@ -333,15 +333,10 @@ func (b *Backend) Executions() int { return backend.Executions(b.inner) }
 
 // PlanCacheStats reports the inner backend's plan-memoization counters
 // (zeros when unsupported).
-func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCache(b.inner) }
+func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCacheStats(b.inner) }
 
 // SetPlanCache forwards when supported.
 func (b *Backend) SetPlanCache(on bool) { backend.SetPlanCache(b.inner, on) }
-
-// SetPlanCacheLegacyEviction forwards when supported.
-func (b *Backend) SetPlanCacheLegacyEviction(legacy bool) {
-	backend.SetPlanCacheLegacyEviction(b.inner, legacy)
-}
 
 // PlanCacheEnabled reports the inner backend's memoization toggle (true when
 // unsupported).

@@ -4,8 +4,8 @@ import "lambdatune/internal/engine"
 
 // Sim adapts the engine simulator (engine.DB) to the Backend contract. It is
 // the default backend, registered as "sim", and implements every capability
-// interface: Snapshotter, FaultInjectable, Hookable, SettingsAccessor and
-// ExecutionCounter.
+// interface: Snapshotter, FaultInjectable, Hookable, SettingsAccessor,
+// ExecutionCounter and PlanCache.
 type Sim struct {
 	db *engine.DB
 }
@@ -119,18 +119,15 @@ func (s *Sim) ResetSettings() { s.db.ResetSettings() }
 // Executions implements ExecutionCounter.
 func (s *Sim) Executions() int { return s.db.Executions() }
 
-// PlanCacheStats implements backend.PlanCacheStats: the engine's plan-
-// memoization counters, shared with every snapshot taken from this instance.
+// PlanCacheStats implements PlanCache: the engine's plan-memoization
+// counters, shared with every snapshot taken from this instance.
 func (s *Sim) PlanCacheStats() engine.PlanCacheStats { return s.db.PlanCacheStats() }
 
-// SetPlanCache implements backend.PlanCacheToggler.
+// SetPlanCache implements PlanCache.
 func (s *Sim) SetPlanCache(on bool) { s.db.SetPlanCache(on) }
 
-// PlanCacheEnabled implements backend.PlanCacheQuerier.
+// PlanCacheEnabled implements PlanCache.
 func (s *Sim) PlanCacheEnabled() bool { return s.db.PlanCacheEnabled() }
-
-// SetPlanCacheLegacyEviction implements backend.PlanCacheLifecycler.
-func (s *Sim) SetPlanCacheLegacyEviction(legacy bool) { s.db.SetPlanCacheLegacyEviction(legacy) }
 
 // PermanentIndexCount returns the number of initial indexes.
 func (s *Sim) PermanentIndexCount() int { return s.db.PermanentIndexCount() }

@@ -91,7 +91,7 @@ type SurfaceStats struct {
 
 // Stats is the per-surface telemetry of an instrumented backend, keyed by the
 // paper's four observation surfaces, plus the backend's plan-memoization
-// counters when it exposes them (see the PlanCacheStats capability). It is a
+// counters when it exposes them (see the PlanCache capability). It is a
 // plain value snapshot.
 type Stats struct {
 	ApplyConfig SurfaceStats

@@ -4,11 +4,11 @@
 // tracing, the shared metrics registry, structured slog logging — is
 // contractually passive: it may cost host wall time but can never move a
 // virtual-clock outcome. E17 prices that contract on the E16 configuration:
-// the same skewed thousand-job stream runs twice on a current-lifecycle
-// shared Runtime, once with every telemetry sink disconnected and once with
-// all of them live (a metrics registry on the runtime, a per-job Trace, and
-// an Info-level JSON slog logger), after an isolated baseline pass that pins
-// the authoritative result for every distinct seed.
+// the same skewed thousand-job stream runs twice on a shared Runtime, once
+// with every telemetry sink disconnected and once with all of them live (a
+// metrics registry on the runtime, a per-job Trace, and an Info-level JSON
+// slog logger), after an isolated baseline pass that pins the authoritative
+// result for every distinct seed.
 //
 // The study pins three properties:
 //
@@ -23,9 +23,9 @@
 //     the registry actually accumulated the runtime_* / slots_* series the
 //     daemon exposes on /metrics — the overhead being priced is real work.
 //
-// Like jobstudy (E16), the package lives beside package bench because it
-// exercises the public Runtime API and importing the root package from
-// internal/bench would be a cycle.
+// The package lives beside package bench because it exercises the public
+// Runtime API and importing the root package from internal/bench would be a
+// cycle.
 package obsstudy
 
 import (

@@ -36,8 +36,7 @@ import (
 // Lifecycle. Both layers evict by recency rather than clearing on overflow:
 // the relevance layer drops its least-recently-probed configuration when the
 // config bound is hit, and the schedule memo runs a sharded segmented LRU
-// (see schedule.Memo). NewLegacySharedMemo restores the historical
-// clear-on-overflow lifecycle as the A/B baseline for eviction benchmarks.
+// (see schedule.Memo).
 //
 // A Memo is safe for concurrent use and is shared across the parallel
 // evaluator's workers. Construction is gated on the backend's plan-cache
@@ -47,7 +46,6 @@ type Memo struct {
 	// shared marks a Runtime-owned memo probed by many jobs (see
 	// NewSharedMemo); ns/reg feed the per-namespace runtime_* counters.
 	shared bool
-	legacy bool
 	ns     string
 	reg    *obs.Registry
 
@@ -104,8 +102,7 @@ func (s MemoStats) Misses() uint64 { return s.Lookups - s.Hits }
 
 // HitRetention is the fraction of schedule-memo hits served from the
 // protected segment — how much of the hit traffic lands on entries the
-// lifecycle chose to retain (0 when no hits, or under the legacy lifecycle,
-// which has no protected segment).
+// lifecycle chose to retain (0 when no hits).
 func (s MemoStats) HitRetention() float64 {
 	if s.ScheduleHits == 0 {
 		return 0
@@ -138,25 +135,11 @@ func NewMemo() *Memo {
 func NewSharedMemo(ns string, reg *obs.Registry, capacity int) *Memo {
 	m := NewMemo()
 	if capacity > 0 {
-		m.s = schedule.NewMemoCapacity(capacity, false)
+		m.s = schedule.NewMemoCapacity(capacity)
 	}
 	m.shared = true
 	m.ns = ns
 	m.reg = reg
-	return m
-}
-
-// NewLegacySharedMemo is NewSharedMemo with the historical clear-on-overflow
-// lifecycle in both layers — the measurable baseline the segmented LRU is
-// benchmarked against (see the E16 job-throughput study).
-func NewLegacySharedMemo(ns string, reg *obs.Registry, capacity int) *Memo {
-	m := NewSharedMemo(ns, reg, 0)
-	m.legacy = true
-	if capacity <= 0 {
-		m.s = schedule.NewLegacyMemo()
-	} else {
-		m.s = schedule.NewMemoCapacity(capacity, true)
-	}
 	return m
 }
 
@@ -258,19 +241,9 @@ func (m *Memo) touchConfig(key string) {
 	m.lru = append(m.lru, key)
 }
 
-// evictConfigLocked applies the relevance-layer bound: in legacy mode a full
-// flush, otherwise dropping the least-recently-probed configuration. Caller
-// holds m.mu.
+// evictConfigLocked applies the relevance-layer bound by dropping the
+// least-recently-probed configuration. Caller holds m.mu.
 func (m *Memo) evictConfigLocked() {
-	if m.legacy {
-		for _, per := range m.maps {
-			m.evictions.Add(uint64(len(per)))
-		}
-		m.maps = make(map[string]map[string]relevanceEntry, 8)
-		m.lru = m.lru[:0]
-		m.keys = nil // the key cache is only useful alongside its entries
-		return
-	}
 	for len(m.maps) >= memoMaxConfigs && len(m.lru) > 0 {
 		victim := m.lru[0]
 		m.lru = m.lru[1:]
@@ -302,7 +275,6 @@ func (m *Memo) queryIndexMap(queries []*engine.Query, cfg *engine.Config, owner 
 			m.maps = make(map[string]map[string]relevanceEntry, 8)
 		} else if len(m.maps) >= memoMaxConfigs {
 			m.evictConfigLocked()
-			key = m.configKey(cfg)
 		}
 		per = make(map[string]relevanceEntry, len(queries))
 		m.maps[key] = per

@@ -23,17 +23,14 @@ import (
 // so equal names can never alias. Like the plan cache, the memo changes host
 // CPU time only — a hit returns the exact permutation the DP would compute.
 //
-// Lifecycle. The memo is bounded by a sharded segmented LRU rather than the
-// clear-on-overflow of earlier revisions: keys hash onto independent shards
-// (one lock each, so concurrent jobs don't serialize on one mutex), and each
-// shard keeps a probation and a protected segment. New entries enter
-// probation; a re-hit entry is promoted to protected, displacing the
-// protected segment's own least-recent entry back to probation when the
-// segment is full. Overflow evicts from the probation tail first, so a
+// Lifecycle. The memo is bounded by a sharded segmented LRU: keys hash onto
+// independent shards (one lock each, so concurrent jobs don't serialize on
+// one mutex), and each shard keeps a probation and a protected segment. New
+// entries enter probation; a re-hit entry is promoted to protected,
+// displacing the protected segment's own least-recent entry back to
+// probation when the segment is full. Overflow evicts from the probation tail first, so a
 // long-lived daemon churning through cold one-shot tenants evicts their
-// never-re-hit entries while hot cross-job entries stay resident. The legacy
-// clear-on-overflow behavior survives behind NewMemoCapacity's legacy flag
-// as the A/B baseline for the lifecycle benchmarks.
+// never-re-hit entries while hot cross-job entries stay resident.
 //
 // A Memo is safe for concurrent use: the parallel evaluator's workers
 // schedule rounds on separate snapshots but share one memo. A runtime-owned
@@ -42,7 +39,6 @@ import (
 // first computations of the same key.
 type Memo struct {
 	shards   []memoShard
-	legacy   bool
 	capacity int // total entry bound across shards
 
 	hits          atomic.Int64
@@ -123,26 +119,19 @@ const memoShardCount = 8
 
 // NewMemo returns an empty Order memo with the default segmented-LRU
 // lifecycle.
-func NewMemo() *Memo { return NewMemoCapacity(memoMaxEntries, false) }
+func NewMemo() *Memo { return NewMemoCapacity(memoMaxEntries) }
 
-// NewLegacyMemo returns a memo with the historical clear-on-overflow
-// lifecycle at the default bound — the A/B baseline for eviction benchmarks.
-func NewLegacyMemo() *Memo { return NewMemoCapacity(memoMaxEntries, true) }
-
-// NewMemoCapacity returns a memo bounded to capacity entries. legacy selects
-// the historical clear-on-overflow lifecycle (single shard, full flush at
-// the bound) — kept as the measurable baseline for eviction benchmarks.
-func NewMemoCapacity(capacity int, legacy bool) *Memo {
+// NewMemoCapacity returns a memo bounded to capacity entries.
+func NewMemoCapacity(capacity int) *Memo {
 	if capacity < 1 {
 		capacity = 1
 	}
 	shards := memoShardCount
-	if legacy || capacity < shards {
+	if capacity < shards {
 		shards = 1
 	}
 	m := &Memo{
 		shards:   make([]memoShard, shards),
-		legacy:   legacy,
 		capacity: capacity,
 	}
 	per := capacity / shards
@@ -170,27 +159,25 @@ type MemoStats struct {
 	// earned residency by re-use. ProtectedHits/Hits is the hit-retention
 	// signal exported by the runtime.
 	ProtectedHits int64
-	// Evictions counts entries dropped by the lifecycle (individual LRU
-	// evictions, or whole flushed entries in legacy mode).
+	// Evictions counts entries the segmented LRU evicted.
 	Evictions int64
 }
 
 // SegmentStats is a point-in-time snapshot of segment occupancy across every
 // shard: how many entries are still proving themselves (probation) versus
-// earned residency through re-use (protected). Both are zero under the legacy
-// lifecycle, which has no segments.
+// earned residency through re-use (protected).
 type SegmentStats struct {
 	Probation int
 	Protected int
 }
 
 // Segments sums probation/protected occupancy over the shards (zero value
-// for nil or legacy memos). Each shard is locked briefly in turn, so the
-// snapshot is per-shard consistent rather than globally atomic — fine for
-// telemetry, which is its only consumer.
+// for nil). Each shard is locked briefly in turn, so the snapshot is
+// per-shard consistent rather than globally atomic — fine for telemetry,
+// which is its only consumer.
 func (m *Memo) Segments() SegmentStats {
 	var out SegmentStats
-	if m == nil || m.legacy {
+	if m == nil {
 		return out
 	}
 	for i := range m.shards {
@@ -413,9 +400,6 @@ func (m *Memo) probe(key []byte, owner string, queries []*engine.Query) ([]*engi
 // protected entries move to their segment's front. Caller holds s.mu.
 func (s *memoShard) touch(e *memoEntry, m *Memo) {
 	m.hits.Add(1)
-	if m.legacy {
-		return // legacy lifecycle has no recency structure
-	}
 	if e.protected {
 		m.protectedHits.Add(1)
 		if s.protected.front != e {
@@ -436,18 +420,15 @@ func (s *memoShard) touch(e *memoEntry, m *Memo) {
 }
 
 // store inserts (or replaces) key's entry and applies the lifecycle bound:
-// segmented-LRU eviction from the probation tail (falling back to the
-// protected tail when probation is empty), or a full flush in legacy mode.
+// segmented-LRU eviction from the probation tail, falling back to the
+// protected tail when probation is empty.
 func (m *Memo) store(key string, in []*engine.Query, perm []int, owner string) {
 	s := shardIndex(m, key)
 	s.mu.Lock()
 	if s.entries == nil {
 		s.entries = make(map[string]*memoEntry, 64)
-	} else if m.legacy && len(s.entries) >= s.cap {
-		m.evictions.Add(int64(len(s.entries)))
-		clear(s.entries)
 	}
-	if old, ok := s.entries[key]; ok && !m.legacy {
+	if old, ok := s.entries[key]; ok {
 		if old.protected {
 			s.protected.remove(old)
 		} else {
@@ -456,19 +437,17 @@ func (m *Memo) store(key string, in []*engine.Query, perm []int, owner string) {
 	}
 	e := &memoEntry{key: key, in: in, perm: perm, owner: owner}
 	s.entries[key] = e
-	if !m.legacy {
-		s.probation.pushFront(e)
-		for len(s.entries) > s.cap {
-			victim := s.probation.back
-			if victim == nil {
-				victim = s.protected.back
-				s.protected.remove(victim)
-			} else {
-				s.probation.remove(victim)
-			}
-			delete(s.entries, victim.key)
-			m.evictions.Add(1)
+	s.probation.pushFront(e)
+	for len(s.entries) > s.cap {
+		victim := s.probation.back
+		if victim == nil {
+			victim = s.protected.back
+			s.protected.remove(victim)
+		} else {
+			s.probation.remove(victim)
 		}
+		delete(s.entries, victim.key)
+		m.evictions.Add(1)
 	}
 	s.mu.Unlock()
 }

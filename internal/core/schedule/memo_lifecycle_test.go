@@ -12,7 +12,7 @@ import (
 func TestMemoEvictThenRecompute(t *testing.T) {
 	qsA, mapA := memoFixture(7)
 	cost := costOf(3)
-	m := NewMemoCapacity(6, false) // below the shard count: one deterministic shard
+	m := NewMemoCapacity(6) // below the shard count: one deterministic shard
 
 	orig, hit, _ := m.OrderScoped("job-a", qsA, mapA, cost, 1)
 	if hit {
@@ -70,13 +70,13 @@ func TestMemoEvictThenRecompute(t *testing.T) {
 // TestMemoSegmentedLRURetention asserts the point of the segmented LRU: an
 // entry that proved itself by a re-hit is promoted to the protected segment
 // and survives a churn of cold one-shot entries that exceeds capacity many
-// times over — exactly the churn that flushes the legacy lifecycle.
+// times over.
 func TestMemoSegmentedLRURetention(t *testing.T) {
 	qs, im := memoFixture(7)
 	cost := costOf(3)
 	const hotSeed = 1
 
-	m := NewMemoCapacity(6, false)
+	m := NewMemoCapacity(6)
 	m.OrderScoped("hot", qs, im, cost, hotSeed)
 	if _, hit, _ := m.OrderScoped("hot", qs, im, cost, hotSeed); !hit {
 		t.Fatal("second probe of the hot key must hit")
@@ -94,22 +94,6 @@ func TestMemoSegmentedLRURetention(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("cold churn past capacity must evict")
 	}
-
-	// The legacy lifecycle loses the same hot entry to the same churn.
-	lg := NewMemoCapacity(6, true)
-	lg.OrderScoped("hot", qs, im, cost, hotSeed)
-	if _, hit, _ := lg.OrderScoped("hot", qs, im, cost, hotSeed); !hit {
-		t.Fatal("legacy memo must hit before overflow")
-	}
-	for seed := int64(100); seed < 150; seed++ {
-		lg.OrderScoped("cold", qs, im, cost, seed)
-	}
-	if _, hit, _ := lg.OrderScoped("hot", qs, im, cost, hotSeed); hit {
-		t.Fatal("legacy clear-on-overflow unexpectedly retained the hot entry")
-	}
-	if lg.Stats().Evictions == 0 {
-		t.Fatal("legacy flush must count evictions")
-	}
 }
 
 // TestMemoShardedEviction runs the default sharded configuration past its
@@ -118,7 +102,7 @@ func TestMemoSegmentedLRURetention(t *testing.T) {
 func TestMemoShardedEviction(t *testing.T) {
 	qs, im := memoFixture(5)
 	cost := costOf(3)
-	m := NewMemoCapacity(16, false) // 8 shards, 2 entries each
+	m := NewMemoCapacity(16) // 8 shards, 2 entries each
 	for seed := int64(0); seed < 200; seed++ {
 		got := m.Order(qs, im, cost, seed)
 		want := Order(qs, im, cost, seed)
@@ -157,7 +141,7 @@ func TestMemoShardedEviction(t *testing.T) {
 func TestMemoProtectedDemotion(t *testing.T) {
 	qs, im := memoFixture(6)
 	cost := costOf(3)
-	m := NewMemoCapacity(5, false) // one shard: cap 5, protected cap 4
+	m := NewMemoCapacity(5) // one shard: cap 5, protected cap 4
 	for seed := int64(0); seed < 5; seed++ {
 		m.OrderScoped("a", qs, im, cost, seed)
 		m.OrderScoped("a", qs, im, cost, seed) // re-hit: promote every entry
@@ -171,32 +155,5 @@ func TestMemoProtectedDemotion(t *testing.T) {
 	if s.probation.n+s.protected.n != len(s.entries) {
 		t.Fatalf("list lengths %d+%d disagree with map size %d",
 			s.probation.n, s.protected.n, len(s.entries))
-	}
-}
-
-// TestMemoLegacyPointerSafety mirrors TestMemoPointerAliasing across an
-// eviction boundary: after a legacy flush mid-sequence, replays must still
-// only ever return the probing caller's pointers.
-func TestMemoLegacyPointerSafety(t *testing.T) {
-	qsA, mapA := memoFixture(6)
-	cost := costOf(3)
-	m := NewMemoCapacity(4, true)
-	m.OrderScoped("a", qsA, mapA, cost, 1)
-	for seed := int64(50); seed < 60; seed++ {
-		m.OrderScoped("a", qsA, mapA, cost, seed)
-	}
-	qsB, mapB := memoFixture(6)
-	got, _, _ := m.OrderScoped("b", qsB, mapB, cost, 1)
-	for _, q := range got {
-		found := false
-		for _, b := range qsB {
-			if q == b {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatal("result contains a query pointer not from the caller's slice")
-		}
 	}
 }

@@ -85,9 +85,8 @@ const (
 	// hot entries survive and eviction happens in oldest-segment granularity.
 	planCacheMaxEntries = 16384
 	// planCacheMaxLayers bounds the frozen-layer chain; overflow compacts the
-	// oldest two layers, retaining recently-touched entries (legacy mode
-	// drops the oldest layer wholesale). Lookups scan at most this many maps
-	// plus the compacted head, so total capacity is about
+	// oldest two layers, retaining recently-touched entries. Lookups scan at
+	// most this many maps plus the compacted head, so total capacity is about
 	// (planCacheMaxLayers+2) × planCacheMaxEntries entries.
 	planCacheMaxLayers = 6
 	// planCacheRecentGens is the compaction recency window: an oldest-layer
@@ -118,9 +117,7 @@ type planKey struct {
 
 // planCache is the per-DB memoization state. The frozen layers are immutable
 // (modulo the atomic recency stamps) and may be shared with snapshots; the
-// write map is private to one DB. legacy selects the historical drop-oldest
-// layer lifecycle instead of recency-aware compaction — the A/B baseline for
-// eviction benchmarks.
+// write map is private to one DB.
 type planCache struct {
 	counters *planCacheCounters
 	frozen   []map[planKey]*planEntry
@@ -132,7 +129,6 @@ type planCache struct {
 	// so a multi-round evaluation loses nothing when its snapshot dies.
 	ownFrom int
 	off     bool
-	legacy  bool
 }
 
 // lookup probes the private write layer, then the frozen chain newest-first,
@@ -179,14 +175,6 @@ func (c *planCache) freeze() {
 	if len(c.frozen) <= planCacheMaxLayers {
 		return
 	}
-	if c.legacy {
-		c.counters.evictions.Add(uint64(len(c.frozen[0])))
-		c.frozen = append(c.frozen[:0], c.frozen[1:]...)
-		if c.ownFrom > 0 {
-			c.ownFrom--
-		}
-		return
-	}
 	c.compactOldest()
 }
 
@@ -194,9 +182,8 @@ func (c *planCache) freeze() {
 // entry of the newer layer and only the recently-touched entries of the
 // older one (bounded by planCacheCompactCap). A daemon churning through
 // cold tenants thus sheds their never-re-hit plans while the hot cross-job
-// working set keeps riding the chain's head — the throughput cliff of
-// dropping a whole layer (legacy mode) never hits entries that are actually
-// being used.
+// working set keeps riding the chain's head, and eviction never hits
+// entries that are actually being used.
 func (c *planCache) compactOldest() {
 	gen := c.counters.gen.Load()
 	f0, f1 := c.frozen[0], c.frozen[1]
@@ -241,7 +228,6 @@ func (c *planCache) snapshotCache() planCache {
 		counters: c.counters,
 		frozen:   append([]map[planKey]*planEntry(nil), c.frozen...),
 		ownFrom:  len(c.frozen), // everything so far is inherited
-		legacy:   c.legacy,
 	}
 }
 
@@ -249,20 +235,16 @@ func (c *planCache) snapshotCache() planCache {
 // rounds benefit from plans computed on replicas (matching the sequential
 // path's hit profile): the write map, plus any layers the snapshot froze out
 // of its own writes along the way — a multi-round evaluation freezes its
-// accumulated plans every time it re-snapshots, and before ownFrom tracking
-// those layers were silently lost with the snapshot, leaving every later job
-// to replan them (legacy mode preserves exactly that historical behavior).
-// Entries are content-addressed and plans deterministic, so merge order
-// cannot change any value; a hard bound keeps a worker fleet from ballooning
-// the parent's write layer.
+// accumulated plans every time it re-snapshots, and without ownFrom
+// tracking those layers would be lost with the snapshot, leaving every later
+// job to replan them. Entries are content-addressed and plans deterministic,
+// so merge order cannot change any value; a hard bound keeps a worker fleet
+// from ballooning the parent's write layer.
 func (c *planCache) absorb(o *planCache) {
 	if c.off || o.off {
 		return
 	}
 	c.absorbLayer(o.write)
-	if c.legacy {
-		return
-	}
 	for _, l := range o.frozen[min(o.ownFrom, len(o.frozen)):] {
 		c.absorbLayer(l)
 	}
@@ -304,12 +286,6 @@ func (db *DB) SetPlanCache(on bool) {
 
 // PlanCacheEnabled reports whether plan memoization is currently on.
 func (db *DB) PlanCacheEnabled() bool { return !db.cache.off }
-
-// SetPlanCacheLegacyEviction switches the frozen-chain lifecycle between
-// recency-aware compaction (default, false) and the historical drop-oldest-
-// layer eviction. Simulated results are identical either way — the toggle
-// exists so eviction benchmarks can A/B the lifecycles.
-func (db *DB) SetPlanCacheLegacyEviction(legacy bool) { db.cache.legacy = legacy }
 
 // PlanCacheStats returns the memoization counters accumulated by this
 // instance and every snapshot taken from it.

@@ -260,35 +260,9 @@ func TestPlanCacheWriteLayerEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLegacyLayerCap: under the legacy lifecycle the frozen chain
-// drops (and counts) its oldest layer wholesale when snapshotting has
-// stacked too many — the baseline behavior the compaction replaces.
-func TestPlanCacheLegacyLayerCap(t *testing.T) {
-	c := planCache{counters: &planCacheCounters{}, legacy: true}
-	p := &Plan{}
-	const extra = 3
-	for i := 0; i < planCacheMaxLayers+extra; i++ {
-		c.store(planKey{sig: fmt.Sprint(i)}, p)
-		c.freeze()
-	}
-	if len(c.frozen) != planCacheMaxLayers {
-		t.Errorf("frozen chain has %d layers, want %d", len(c.frozen), planCacheMaxLayers)
-	}
-	if got := c.counters.evictions.Load(); got != extra {
-		t.Errorf("evictions = %d, want %d", got, extra)
-	}
-	if _, ok := c.lookup(planKey{sig: fmt.Sprint(planCacheMaxLayers + extra - 1)}); !ok {
-		t.Error("newest layer entry lost")
-	}
-	if _, ok := c.lookup(planKey{sig: "0"}); ok {
-		t.Error("oldest layer entry survived the cap")
-	}
-}
-
 // TestPlanCacheCompactionRetention: the recency-aware compaction must keep a
 // hot (re-hit) entry reachable across arbitrarily many chain overflows while
-// shedding never-touched entries from the same old layers — and the same
-// churn under the legacy lifecycle loses the hot entry with its layer.
+// shedding never-touched entries from the same old layers.
 func TestPlanCacheCompactionRetention(t *testing.T) {
 	p := &Plan{}
 	hot := planKey{sig: "hot"}
@@ -314,20 +288,6 @@ func TestPlanCacheCompactionRetention(t *testing.T) {
 	}
 	if len(c.frozen) > planCacheMaxLayers {
 		t.Errorf("frozen chain has %d layers, bound %d", len(c.frozen), planCacheMaxLayers)
-	}
-
-	// Same access pattern, legacy lifecycle: the hot entry dies with its
-	// layer no matter how often it was hit.
-	lg := planCache{counters: &planCacheCounters{}, legacy: true}
-	lg.store(hot, p)
-	lg.freeze()
-	for i := 0; i < planCacheMaxLayers+5; i++ {
-		lg.lookup(hot)
-		lg.store(planKey{sig: fmt.Sprintf("cold%d", i)}, p)
-		lg.freeze()
-	}
-	if _, ok := lg.lookup(hot); ok {
-		t.Error("legacy drop-oldest unexpectedly retained the hot entry")
 	}
 }
 

@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"strings"
 
 	"lambdatune"
 	"lambdatune/internal/runstate"
@@ -12,14 +10,10 @@ import (
 )
 
 // resolveLogger picks the manager's structured logger: the configured one,
-// else a bridge that renders records as "msg key=value" lines onto the legacy
-// Logf hook, else a discard logger so call sites never nil-check.
-func resolveLogger(logger *slog.Logger, logf func(string, ...any)) *slog.Logger {
+// else a discard logger so call sites never nil-check.
+func resolveLogger(logger *slog.Logger) *slog.Logger {
 	if logger != nil {
 		return logger
-	}
-	if logf != nil {
-		return slog.New(&logfHandler{logf: logf})
 	}
 	return slog.New(discardHandler{})
 }
@@ -50,40 +44,6 @@ func runIDOf(spec *JobSpec) string {
 	}
 	return runstate.SanitizeRunID(lambdatune.RunID(name, spec.seed()))
 }
-
-// logfHandler adapts slog records onto a printf-style sink. It keeps the old
-// Config.Logf contract working unchanged (one line per record) while the
-// manager's call sites speak structured logging; debug records are dropped,
-// matching the old hook's verbosity.
-type logfHandler struct {
-	logf  func(string, ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, lvl slog.Level) bool {
-	return lvl >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool { emit(a); return true })
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &logfHandler{logf: h.logf, attrs: merged}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // discardHandler is a no-op slog handler (slog.DiscardHandler arrived after
 // this module's Go baseline).

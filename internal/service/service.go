@@ -183,14 +183,10 @@ type Config struct {
 	Runtime *lambdatune.Runtime
 	// Metrics receives the service_* series (nil = discard).
 	Metrics *obs.Registry
-	// Logf receives one-line operational logs (nil = discard). Deprecated in
-	// favor of Logger; when only Logf is set, structured records are bridged
-	// onto it as "msg key=value" lines.
-	Logf func(format string, args ...any)
 	// Logger receives structured operational logs: job lifecycle transitions,
 	// panic recoveries, trace evictions, and persistence failures, every
 	// job-scoped line carrying consistent job_id/tenant/run_id keys. nil
-	// falls back to the Logf bridge, or discards when Logf is nil too.
+	// discards.
 	Logger *slog.Logger
 	// TraceRetention bounds how many completed jobs keep their span trace in
 	// memory for the trace endpoints: 0 means the default (64), oldest
@@ -280,7 +276,7 @@ func Open(cfg Config) (*Manager, error) {
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		log:     resolveLogger(cfg.Logger, cfg.Logf),
+		log:     resolveLogger(cfg.Logger),
 		jobs:    map[string]*Job{},
 		subs:    map[string][]chan string{},
 		rootCtx: ctx,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,8 +20,17 @@ func testConfig(t *testing.T) Config {
 	return Config{
 		DataDir: t.TempDir(),
 		Workers: 2,
-		Logf:    t.Logf,
+		Logger:  slog.New(slog.NewTextHandler(testLogWriter{t}, nil)),
 	}
+}
+
+// testLogWriter routes daemon log lines through t.Log, so a failing test
+// shows them.
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func openManager(t *testing.T, cfg Config) *Manager {

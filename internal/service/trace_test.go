@@ -301,7 +301,6 @@ func TestJobLogsCarryIdentityKeys(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	cfg := testConfig(t)
-	cfg.Logf = nil
 	cfg.Logger = slog.New(slog.NewJSONHandler(&syncWriter{mu: &mu, w: &buf}, nil))
 	m := openManager(t, cfg)
 	m.beforeRun = func(job *Job, _ context.Context) {

@@ -123,11 +123,7 @@ type ObservabilityOptions struct {
 // filled struct is valid as long as Validate accepts it.
 //
 // Evaluation, durability, and observability knobs live in the Evaluation,
-// Durability, and Observability groups. The corresponding flat fields
-// (InitialTimeout, Alpha, Parallelism, Trace, Metrics, Progress,
-// CheckpointDir, Resume) are deprecated aliases kept for one release:
-// Validate reconciles them into the groups, and setting both a flat field
-// and its grouped twin to different values is an error.
+// Durability, and Observability groups.
 type Options struct {
 	// Samples is k, the number of candidate configurations requested from
 	// the LLM (paper default: 5). 0 means the default; negative is invalid.
@@ -163,39 +159,6 @@ type Options struct {
 	Durability DurabilityOptions
 	// Observability groups the telemetry sinks (trace, metrics, progress).
 	Observability ObservabilityOptions
-
-	// InitialTimeout is the first round's per-configuration timeout.
-	//
-	// Deprecated: set Evaluation.InitialTimeout.
-	InitialTimeout float64
-	// Alpha is the geometric timeout growth factor.
-	//
-	// Deprecated: set Evaluation.Alpha.
-	Alpha float64
-	// Parallelism is the number of concurrent evaluation workers.
-	//
-	// Deprecated: set Evaluation.Parallelism.
-	Parallelism int
-	// Trace records the run as a span tree.
-	//
-	// Deprecated: set Observability.Trace.
-	Trace *Trace
-	// Metrics receives the run's metric series.
-	//
-	// Deprecated: set Observability.Metrics.
-	Metrics *Metrics
-	// Progress receives live one-line narration of the run.
-	//
-	// Deprecated: set Observability.Progress.
-	Progress io.Writer
-	// CheckpointDir makes the run crash-recoverable.
-	//
-	// Deprecated: set Durability.CheckpointDir.
-	CheckpointDir string
-	// Resume continues a previously checkpointed run.
-	//
-	// Deprecated: set Durability.Resume.
-	Resume bool
 }
 
 // DefaultOptions mirrors the paper's experimental setup (§6.1). Zero-valued
@@ -206,96 +169,20 @@ func DefaultOptions() Options {
 	return Options{Samples: 5, Temperature: 0.7, Seed: 1}
 }
 
-// normalized reconciles the deprecated flat alias fields into their groups
-// and returns an Options whose groups are authoritative (the flat fields are
-// zeroed). A flat field and its grouped twin set to different non-zero
-// values is a conflict, reported as ErrInvalidOptions.
-func (o Options) normalized() (Options, error) {
-	conflict := func(flat, grouped string) error {
-		return fmt.Errorf("%w: deprecated Options.%s and Options.%s disagree; set only %s",
-			ErrInvalidOptions, flat, grouped, grouped)
-	}
-	e, d, ob := &o.Evaluation, &o.Durability, &o.Observability
-	switch {
-	case o.InitialTimeout == 0:
-	case e.InitialTimeout == 0:
-		e.InitialTimeout = o.InitialTimeout
-	case e.InitialTimeout != o.InitialTimeout:
-		return o, conflict("InitialTimeout", "Evaluation.InitialTimeout")
-	}
-	switch {
-	case o.Alpha == 0:
-	case e.Alpha == 0:
-		e.Alpha = o.Alpha
-	case e.Alpha != o.Alpha:
-		return o, conflict("Alpha", "Evaluation.Alpha")
-	}
-	switch {
-	case o.Parallelism == 0:
-	case e.Parallelism == 0:
-		e.Parallelism = o.Parallelism
-	case e.Parallelism != o.Parallelism:
-		return o, conflict("Parallelism", "Evaluation.Parallelism")
-	}
-	switch {
-	case o.Trace == nil:
-	case ob.Trace == nil:
-		ob.Trace = o.Trace
-	case ob.Trace != o.Trace:
-		return o, conflict("Trace", "Observability.Trace")
-	}
-	switch {
-	case o.Metrics == nil:
-	case ob.Metrics == nil:
-		ob.Metrics = o.Metrics
-	case ob.Metrics != o.Metrics:
-		return o, conflict("Metrics", "Observability.Metrics")
-	}
-	// io.Writer values are not reliably comparable, so both sinks being set
-	// is a conflict even if they might be the same writer.
-	switch {
-	case o.Progress == nil:
-	case ob.Progress == nil:
-		ob.Progress = o.Progress
-	default:
-		return o, conflict("Progress", "Observability.Progress")
-	}
-	switch {
-	case o.CheckpointDir == "":
-	case d.CheckpointDir == "":
-		d.CheckpointDir = o.CheckpointDir
-	case d.CheckpointDir != o.CheckpointDir:
-		return o, conflict("CheckpointDir", "Durability.CheckpointDir")
-	}
-	// Resume is a bool: true in either place means resume.
-	d.Resume = d.Resume || o.Resume
-	o.InitialTimeout, o.Alpha, o.Parallelism = 0, 0, 0
-	o.Trace, o.Metrics, o.Progress = nil, nil, nil
-	o.CheckpointDir, o.Resume = "", false
-	return o, nil
-}
-
 // Validate reports whether the options describe a runnable configuration.
 // Every violation is wrapped in ErrInvalidOptions (check with errors.Is);
-// the message names the offending field. Validation reconciles the
-// deprecated flat alias fields into their groups first, so a flat field and
-// its grouped twin disagreeing is itself a violation. TuneContext validates
-// for you.
+// the message names the offending field. TuneContext validates for you.
 func (o Options) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidOptions, fmt.Sprintf(format, args...))
 	}
-	n, err := o.normalized()
-	if err != nil {
-		return err
+	if o.Samples < 0 {
+		return bad("Samples must be >= 0, got %d", o.Samples)
 	}
-	if n.Samples < 0 {
-		return bad("Samples must be >= 0, got %d", n.Samples)
+	if o.TokenBudget < 0 {
+		return bad("TokenBudget must be >= 0, got %d", o.TokenBudget)
 	}
-	if n.TokenBudget < 0 {
-		return bad("TokenBudget must be >= 0, got %d", n.TokenBudget)
-	}
-	e := n.Evaluation
+	e := o.Evaluation
 	if e.InitialTimeout < 0 {
 		return bad("Evaluation.InitialTimeout must be >= 0, got %g", e.InitialTimeout)
 	}
@@ -324,7 +211,7 @@ func (o Options) Validate() error {
 			return bad("Evaluation.Racing.FinalSurvivors must be >= 0, got %d", r.FinalSurvivors)
 		}
 	}
-	if f := n.Faults; f != nil {
+	if f := o.Faults; f != nil {
 		if f.LLMRate < 0 || f.LLMRate > 1 {
 			return bad("Faults.LLMRate must be in [0,1], got %g", f.LLMRate)
 		}
@@ -337,18 +224,17 @@ func (o Options) Validate() error {
 		if f.CrashAfterSaves < 0 {
 			return bad("Faults.CrashAfterSaves must be >= 0, got %d", f.CrashAfterSaves)
 		}
-		if (f.CrashAfterRound > 0 || f.CrashAfterSaves > 0) && n.Durability.CheckpointDir == "" {
+		if (f.CrashAfterRound > 0 || f.CrashAfterSaves > 0) && o.Durability.CheckpointDir == "" {
 			return bad("Faults crash kill points require Durability.CheckpointDir")
 		}
 	}
-	if n.Durability.Resume && n.Durability.CheckpointDir == "" {
+	if o.Durability.Resume && o.Durability.CheckpointDir == "" {
 		return bad("Durability.Resume requires Durability.CheckpointDir")
 	}
 	return nil
 }
 
-// toTuner maps normalized public options onto the internal tuner's. The
-// receiver must already have been through normalized().
+// toTuner maps validated public options onto the internal tuner's.
 func (o Options) toTuner() tuner.Options {
 	t := tuner.DefaultOptions()
 	if o.Samples > 0 {

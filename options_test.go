@@ -1,95 +1,12 @@
 package lambdatune
 
-// Tests of the Options redesign: grouped fields, deprecated flat aliases,
-// and their reconciliation. This file deliberately reads and writes the
-// deprecated flat fields — it is allowlisted by the deprecated-field gate
-// (TestNoNewDeprecatedOptionsFieldUses).
+// Tests of the Options groups and their validation.
 
 import (
 	"errors"
-	"io"
 	"math"
-	"strings"
 	"testing"
 )
-
-func TestDeprecatedAliasesReconcile(t *testing.T) {
-	tr, m := NewTrace(), NewMetrics()
-	o := Options{
-		InitialTimeout: 7,
-		Alpha:          3,
-		Parallelism:    4,
-		Trace:          tr,
-		Metrics:        m,
-		Progress:       io.Discard,
-		CheckpointDir:  "/tmp/ckpt",
-		Resume:         true,
-	}
-	n, err := o.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, d, ob := n.Evaluation, n.Durability, n.Observability
-	if e.InitialTimeout != 7 || e.Alpha != 3 || e.Parallelism != 4 {
-		t.Errorf("evaluation group not filled from aliases: %+v", e)
-	}
-	if ob.Trace != tr || ob.Metrics != m || ob.Progress != io.Discard {
-		t.Errorf("observability group not filled from aliases: %+v", ob)
-	}
-	if d.CheckpointDir != "/tmp/ckpt" || !d.Resume {
-		t.Errorf("durability group not filled from aliases: %+v", d)
-	}
-	// The flat aliases are zeroed, so only the groups are authoritative.
-	if n.InitialTimeout != 0 || n.Alpha != 0 || n.Parallelism != 0 ||
-		n.Trace != nil || n.Metrics != nil || n.Progress != nil ||
-		n.CheckpointDir != "" || n.Resume {
-		t.Errorf("flat aliases not zeroed after normalization: %+v", n)
-	}
-}
-
-func TestDeprecatedAliasAgreementIsNotAConflict(t *testing.T) {
-	tr := NewTrace()
-	o := Options{
-		InitialTimeout: 7,
-		Trace:          tr,
-		CheckpointDir:  "/tmp/ckpt",
-		Evaluation:     EvaluationOptions{InitialTimeout: 7},
-		Observability:  ObservabilityOptions{Trace: tr},
-		Durability:     DurabilityOptions{CheckpointDir: "/tmp/ckpt"},
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatalf("agreeing alias and group rejected: %v", err)
-	}
-}
-
-func TestDeprecatedAliasConflicts(t *testing.T) {
-	cases := []struct {
-		name string
-		o    Options
-		want string
-	}{
-		{"InitialTimeout", Options{InitialTimeout: 7, Evaluation: EvaluationOptions{InitialTimeout: 9}}, "InitialTimeout"},
-		{"Alpha", Options{Alpha: 2, Evaluation: EvaluationOptions{Alpha: 3}}, "Alpha"},
-		{"Parallelism", Options{Parallelism: 2, Evaluation: EvaluationOptions{Parallelism: 4}}, "Parallelism"},
-		{"Trace", Options{Trace: NewTrace(), Observability: ObservabilityOptions{Trace: NewTrace()}}, "Trace"},
-		{"Metrics", Options{Metrics: NewMetrics(), Observability: ObservabilityOptions{Metrics: NewMetrics()}}, "Metrics"},
-		// Progress writers are not comparable, so both being set is always a
-		// conflict — even when they are the same writer.
-		{"Progress", Options{Progress: io.Discard, Observability: ObservabilityOptions{Progress: io.Discard}}, "Progress"},
-		{"CheckpointDir", Options{CheckpointDir: "/a", Durability: DurabilityOptions{CheckpointDir: "/b"}}, "CheckpointDir"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := c.o.Validate()
-			if !errors.Is(err, ErrInvalidOptions) {
-				t.Fatalf("want ErrInvalidOptions, got %v", err)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error %q does not name %s", err, c.want)
-			}
-		})
-	}
-}
 
 func TestValidateGroupedFields(t *testing.T) {
 	cases := []struct {
@@ -117,9 +34,6 @@ func TestValidateGroupedFields(t *testing.T) {
 			Strategy: Racing, Racing: &RacingOptions{FinalSurvivors: -1},
 		}}, false},
 		{"grouped resume without dir", Options{Durability: DurabilityOptions{Resume: true}}, false},
-		{"flat resume without dir", Options{Resume: true}, false},
-		{"flat resume with grouped dir", Options{Resume: true,
-			Durability: DurabilityOptions{CheckpointDir: "/tmp/x"}}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -131,29 +45,6 @@ func TestValidateGroupedFields(t *testing.T) {
 				t.Errorf("want ErrInvalidOptions, got %v", err)
 			}
 		})
-	}
-}
-
-// TestTuneHonorsDeprecatedAliases: a run configured only through the flat
-// aliases behaves identically to one configured through the groups.
-func TestTuneHonorsDeprecatedAliases(t *testing.T) {
-	run := func(opts Options) float64 {
-		db, w, err := Benchmark("tpch-1", Postgres)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := db.Tune(w, NewSimulatedLLM(1), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TuningSeconds
-	}
-	flat := DefaultOptions()
-	flat.Parallelism = 4
-	grouped := DefaultOptions()
-	grouped.Evaluation.Parallelism = 4
-	if f, g := run(flat), run(grouped); f != g {
-		t.Errorf("flat Parallelism run (%v) differs from grouped (%v)", f, g)
 	}
 }
 

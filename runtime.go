@@ -45,17 +45,8 @@ type RuntimeOptions struct {
 	// entries (0 = the built-in default, 4096). The segmented-LRU lifecycle
 	// evicts cold entries individually once the bound is hit; sizing it below
 	// the cross-job working set trades recompute for memory, never
-	// correctness. The E16 job-throughput study sizes it down deliberately to
-	// measure the lifecycles under overflow.
+	// correctness.
 	MemoCapacity int
-
-	// LegacyMemoLifecycle reverts every shared cache to its pre-fair-share
-	// lifecycle: clear-on-overflow schedule/relevance memos, drop-oldest
-	// plan-cache layers, and per-admission namespace digests. Simulated
-	// results are identical either way — the switch exists as the measurable
-	// baseline for the E16 job-throughput study and costs throughput under
-	// churn; production runtimes should leave it false.
-	LegacyMemoLifecycle bool
 
 	// TenantBreakerThreshold is the number of consecutive failed LLM calls
 	// that trips one tenant's circuit breaker on the shared transport
@@ -183,12 +174,12 @@ type RuntimeStats struct {
 	MemoLookups      uint64
 	MemoHits         uint64
 	MemoCrossJobHits uint64
-	// MemoEvictions counts entries the memo lifecycles dropped across all
-	// namespaces (segmented-LRU evictions, or flush victims in legacy mode).
+	// MemoEvictions counts entries the segmented-LRU memo lifecycles
+	// evicted across all namespaces.
 	MemoEvictions uint64
 	// MemoHitRetention is the fraction of schedule-memo hits served from
 	// protected (re-hit) entries — how well the lifecycle keeps the hot set
-	// resident. 0 when idle or under the legacy lifecycle.
+	// resident. 0 when idle.
 	MemoHitRetention float64
 }
 
@@ -285,9 +276,6 @@ func (rt *Runtime) Benchmark(name string, dbms DBMS) (*Database, *Workload, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		if rt.opts.LegacyMemoLifecycle {
-			backend.SetPlanCacheLegacyEviction(db, true)
-		}
 		tm = &benchTemplate{
 			db:        db,
 			w:         &Workload{name: wl.Name, queries: wl.Queries},
@@ -310,11 +298,9 @@ func (rt *Runtime) Benchmark(name string, dbms DBMS) (*Database, *Workload, erro
 // deterministic engine state, so the cached number is bit-identical to what
 // every such snapshot would produce itself — and the first caller computes
 // it on its own snapshot, never on the template database, whose caches
-// other jobs may be snapshotting concurrently. LegacyMemoLifecycle
-// recomputes per admission — the pre-lifecycle runtime's constant cost,
-// kept for A/B measurement.
+// other jobs may be snapshotting concurrently.
 func (rt *Runtime) defaultWorkloadSeconds(d *Database, w *Workload) float64 {
-	if d.rt == rt && d.pristine && !rt.opts.LegacyMemoLifecycle {
+	if d.rt == rt && d.pristine {
 		rt.mu.Lock()
 		tm := rt.templates[d.tkey]
 		rt.mu.Unlock()
@@ -331,14 +317,13 @@ func (rt *Runtime) defaultWorkloadSeconds(d *Database, w *Workload) float64 {
 // sharedPrompt returns the template-cached tuning prompt for this job's
 // (workload, prompt options) pair, generating and caching it on first use.
 // Nil when the job cannot share one — foreign or already-mutated database,
-// legacy lifecycle (which keeps the pre-lifecycle per-job generation cost),
 // or a generation error (the per-job path will surface it properly).
 // Generation is a pure function of (default configuration, workload,
 // hardware, options), so a pristine snapshot yields the template's prompt;
 // like defaultWorkloadSeconds, the first caller generates from its own
 // snapshot so the shared template database is never touched here.
 func (rt *Runtime) sharedPrompt(d *Database, w *Workload, po prompt.Options) *prompt.Result {
-	if d.rt != rt || !d.pristine || rt.opts.LegacyMemoLifecycle {
+	if d.rt != rt || !d.pristine {
 		return nil
 	}
 	rt.mu.Lock()
@@ -382,9 +367,6 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	// Validate succeeded, so normalization cannot fail; from here on the
-	// grouped fields are authoritative and the flat aliases are zeroed.
-	opts, _ = opts.normalized()
 	if w == nil || len(w.queries) == 0 {
 		return nil, ErrEmptyWorkload
 	}
@@ -478,11 +460,10 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 // canonical workload — the entire daemon hot path — both digests come from
 // the template's cached copies; computing two SHA-256s over the full catalog
 // and workload per admission dominated per-job constant cost before.
-// (LegacyMemoLifecycle recomputes per admission, preserving the old cost.)
 func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evaluator.Memo, error) {
 	var nsKey namespaceKey
 	cached := false
-	if d.rt == rt && !rt.opts.LegacyMemoLifecycle {
+	if d.rt == rt {
 		rt.mu.Lock()
 		if tm := rt.templates[d.tkey]; tm != nil && tm.w == w {
 			nsKey = namespaceKey{flavor: d.db.Flavor(), catalog: tm.catalogFP, workload: tm.wdigest}
@@ -512,11 +493,7 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 	if memo == nil {
 		ns := fmt.Sprintf("%s_%s_%s", strings.ToLower(nsKey.flavor.String()),
 			nsKey.catalog[:8], nsKey.workload[:8])
-		if rt.opts.LegacyMemoLifecycle {
-			memo = evaluator.NewLegacySharedMemo(ns, rt.reg, rt.opts.MemoCapacity)
-		} else {
-			memo = evaluator.NewSharedMemo(ns, rt.reg, rt.opts.MemoCapacity)
-		}
+		memo = evaluator.NewSharedMemo(ns, rt.reg, rt.opts.MemoCapacity)
 		rt.namespaces[nsKey] = memo
 		if rt.reg != nil {
 			rt.reg.Gauge("runtime_memo_namespaces").Set(float64(len(rt.namespaces)))

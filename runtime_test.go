@@ -120,6 +120,54 @@ func TestRuntimeCrossJobMemoReuse(t *testing.T) {
 	}
 }
 
+// TestRuntimeBoundedMemoChurn runs a hot/cold job stream on a runtime whose
+// memo is far smaller than the stream's working set: every job must still
+// match its standalone run, the segmented LRU must evict, and hits must land
+// on entries it kept resident.
+func TestRuntimeBoundedMemoChurn(t *testing.T) {
+	seeds := []int64{1, 1, 2, 1, 3, 1, 4, 1, 5, 1}
+	want := map[int64]string{}
+	for _, seed := range seeds {
+		if _, ok := want[seed]; ok {
+			continue
+		}
+		db, w, err := Benchmark("tpch-1", Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := db.Tune(w, NewSimulatedLLM(seed), runtimeOpts(seed, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = resultKey(ref)
+	}
+
+	rt := NewRuntime(RuntimeOptions{MemoCapacity: 8})
+	defer rt.Close()
+	for i, seed := range seeds {
+		db, w, err := rt.Benchmark("tpch-1", Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := runtimeOpts(seed, 2)
+		o.Tenant = fmt.Sprintf("tenant-%d", seed)
+		res, err := rt.TuneContext(context.Background(), db, w, NewSimulatedLLM(seed), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultKey(res); got != want[seed] {
+			t.Errorf("job %d (seed %d) diverged from its standalone run:\n got %s\nwant %s", i, seed, got, want[seed])
+		}
+	}
+	st := rt.Stats()
+	if st.MemoEvictions == 0 {
+		t.Errorf("a memo of 8 entries evicted nothing over the stream: %+v", st)
+	}
+	if st.MemoHitRetention <= 0 {
+		t.Errorf("no schedule-memo hit came from a protected entry: %+v", st)
+	}
+}
+
 // twoSchemaFixtures builds two deliberately different schemas that share
 // query names — the worst case for cross-tenant memo leakage — plus a
 // per-schema workload.
