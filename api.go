@@ -454,7 +454,8 @@ func (d *Database) Tune(w *Workload, client Client, opts Options) (*Result, erro
 // returning an error satisfying errors.Is(err, ctx.Err()).
 //
 // Errors: invalid opts return ErrInvalidOptions, a nil or empty workload
-// ErrEmptyWorkload, and a run whose every LLM sample failed
+// ErrEmptyWorkload, a workload whose default runtime is not finite
+// ErrNonFiniteCost, and a run whose every LLM sample failed
 // ErrNoUsableSample (all matchable with errors.Is).
 //
 // TuneContext is a one-shot Runtime: it builds a private shared-nothing

@@ -52,6 +52,12 @@ var (
 	// ErrRuntimeClosed reports a Benchmark or Tune call on a Runtime after
 	// Close. In-flight jobs at Close time still finish normally.
 	ErrRuntimeClosed = errors.New("lambdatune: runtime closed")
+
+	// ErrNonFiniteCost reports a workload whose simulated runtime under the
+	// default configuration is infinite or NaN — its cost estimates
+	// overflow — so no configuration can be measured against it. Tuning
+	// refuses such a workload before sampling the LLM.
+	ErrNonFiniteCost = errors.New("lambdatune: non-finite workload cost")
 )
 
 // ConfigRejectedError reports a configuration script (an LLM response or an

@@ -3,7 +3,11 @@ package lambdatune
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -63,6 +67,38 @@ func TestTuneContextEmptyWorkload(t *testing.T) {
 	}
 	if _, err := db.TuneContext(context.Background(), nil, NewSimulatedLLM(1), DefaultOptions()); !errors.Is(err, ErrEmptyWorkload) {
 		t.Fatalf("err = %v, want ErrEmptyWorkload", err)
+	}
+}
+
+// TestTuneContextNonFiniteCost: a twenty-way cartesian product of 4e18-row
+// tables overflows every cost estimate to +Inf. Planning must still produce
+// a plan, and tuning must refuse the workload up front instead of running
+// selection against an unmeasurable baseline.
+func TestTuneContextNonFiniteCost(t *testing.T) {
+	tables := make([]Table, 20)
+	names := make([]string, len(tables))
+	for i := range tables {
+		names[i] = fmt.Sprintf("t%d", i)
+		tables[i] = Table{Name: names[i], Rows: 4e18, Columns: []Column{{Name: "c", WidthBytes: 1, Distinct: 10}}}
+	}
+	db, err := NewDatabase(Postgres, "overflow", tables, DefaultHardware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ParseWorkload("overflow", map[string]string{"q": "SELECT * FROM " + strings.Join(names, ", ")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if secs := db.WorkloadSeconds(w); !math.IsInf(secs, 1) {
+		t.Fatalf("WorkloadSeconds = %v, want +Inf", secs)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := db.TuneContext(ctx, w, NewSimulatedLLM(1), DefaultOptions()); !errors.Is(err, ErrNonFiniteCost) {
+		t.Fatalf("err = %v, want ErrNonFiniteCost", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("TuneContext returned only at the deadline")
 	}
 }
 

@@ -126,23 +126,28 @@ func Cluster(items []Item, k int, seed int64) []Item {
 }
 
 // kmeansPlusPlusInit seeds centers with the k-means++ strategy.
+//
+// dists[i] is point i's squared distance to its nearest center so far: each
+// pick measures the points against the newest center only and keeps the
+// running minimum. A minimum is exact whatever order it is taken in, so
+// dists, their total and every random draw match re-measuring every center.
 func kmeansPlusPlusInit(vecs [][]float64, k int, rng *rand.Rand) [][]float64 {
 	centers := make([][]float64, 0, k)
 	first := rng.Intn(len(vecs))
 	centers = append(centers, append([]float64(nil), vecs[first]...))
-	dists := make([]float64, len(vecs)) // reused across center picks
+	dists := make([]float64, len(vecs))
+	for i := range dists {
+		dists[i] = math.Inf(1)
+	}
 	for len(centers) < k {
 		// Pick the next center proportional to squared distance.
+		newest := centers[len(centers)-1]
 		var total float64
 		for i, v := range vecs {
-			best := math.Inf(1)
-			for _, c := range centers {
-				if d := sqDist(v, c); d < best {
-					best = d
-				}
+			if d := sqDist(v, newest); d < dists[i] {
+				dists[i] = d
 			}
-			dists[i] = best
-			total += best
+			total += dists[i]
 		}
 		if total == 0 {
 			// All points coincide with centers; duplicate one.

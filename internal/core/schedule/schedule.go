@@ -132,8 +132,10 @@ func OrderDP(items []Item, cost IndexCost) []Item {
 	sp := newIndexSpace(items, cost)
 	size := 1 << n
 	dpCost := make([]float64, size)
-	dpTotal := make([]float64, size) // totalCost(S): union index creation cost
-	dpPrev := make([]int8, size)     // last item appended for reconstruction
+	// dpTotal is totalCost(S), summed along the path that set dpCost[S]:
+	// equal for every path in exact arithmetic, but not in floating point.
+	dpTotal := make([]float64, size)
+	dpPrev := make([]int8, size) // last item appended for reconstruction
 	for mask := 1; mask < size; mask++ {
 		dpCost[mask] = math.Inf(1)
 		dpPrev[mask] = -1
@@ -141,21 +143,30 @@ func OrderDP(items []Item, cost IndexCost) []Item {
 
 	// Union index sets per subset as bitsets, carved from one contiguous
 	// backing slice — the per-transition incremental cost is then a handful
-	// of word operations instead of a sorted string-map walk, and improving
-	// a subset updates its union in place with no allocation.
+	// of word operations instead of a sorted string-map walk. A union
+	// depends on the set alone, so each is built once, before its subset is
+	// expanded, from the subset without its lowest item (a smaller mask,
+	// already built) OR'd with that item's bits.
 	w := sp.words
 	unionBacking := make([]uint64, size*w)
 	union := func(mask int) []uint64 { return unionBacking[mask*w : (mask+1)*w] }
+	full := size - 1
 
+	for mask := 1; mask < size; mask++ {
+		low := bits.TrailingZeros(uint(mask))
+		um, rest := union(mask), union(mask&(mask-1))
+		for i := range um {
+			um[i] = rest[i] | sp.itemBits[low][i]
+		}
+	}
 	for mask := 0; mask < size; mask++ {
 		if math.IsInf(dpCost[mask], 1) {
 			continue
 		}
 		um := union(mask)
-		for q := 0; q < n; q++ {
-			if mask&(1<<q) != 0 {
-				continue
-			}
+		// Expand by the items not yet in the subset, in ascending order.
+		for free := full &^ mask; free != 0; free &= free - 1 {
+			q := bits.TrailingZeros(uint(free))
 			next := mask | 1<<q
 			z := sp.incremental(sp.itemBits[q], um)
 			c := dpCost[mask] + dpTotal[mask] + z
@@ -163,10 +174,6 @@ func OrderDP(items []Item, cost IndexCost) []Item {
 				dpCost[next] = c
 				dpTotal[next] = dpTotal[mask] + z
 				dpPrev[next] = int8(q)
-				un := union(next)
-				for i := range un {
-					un[i] = um[i] | sp.itemBits[q][i]
-				}
 			}
 		}
 	}

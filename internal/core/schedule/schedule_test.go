@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -256,5 +258,219 @@ func TestExpectedCostDecreasingWeights(t *testing.T) {
 	late := []Item{item("y", ia), item("z", ib), item("x", ic)}
 	if ExpectedCost(late, cost) >= ExpectedCost(early, cost) {
 		t.Error("later placement of expensive index not cheaper")
+	}
+}
+
+// orderDPReference is OrderDP as it stood before the DP was restricted to
+// free items and per-subset unions: every item is tested for membership,
+// and improving a subset rewrites its union in place. OrderDP must return
+// the same items in the same order on every input.
+func orderDPReference(items []Item, cost IndexCost) []Item {
+	n := len(items)
+	if n == 0 {
+		return nil
+	}
+	if n > MaxDPQueries {
+		panic("schedule: OrderDP input exceeds MaxDPQueries; cluster first")
+	}
+	sp := newIndexSpace(items, cost)
+	size := 1 << n
+	dpCost := make([]float64, size)
+	dpTotal := make([]float64, size) // totalCost(S): union index creation cost
+	dpPrev := make([]int8, size)     // last item appended for reconstruction
+	for mask := 1; mask < size; mask++ {
+		dpCost[mask] = math.Inf(1)
+		dpPrev[mask] = -1
+	}
+
+	w := sp.words
+	unionBacking := make([]uint64, size*w)
+	union := func(mask int) []uint64 { return unionBacking[mask*w : (mask+1)*w] }
+
+	for mask := 0; mask < size; mask++ {
+		if math.IsInf(dpCost[mask], 1) {
+			continue
+		}
+		um := union(mask)
+		for q := 0; q < n; q++ {
+			if mask&(1<<q) != 0 {
+				continue
+			}
+			next := mask | 1<<q
+			z := sp.incremental(sp.itemBits[q], um)
+			c := dpCost[mask] + dpTotal[mask] + z
+			if c < dpCost[next]-1e-12 {
+				dpCost[next] = c
+				dpTotal[next] = dpTotal[mask] + z
+				dpPrev[next] = int8(q)
+				un := union(next)
+				for i := range un {
+					un[i] = um[i] | sp.itemBits[q][i]
+				}
+			}
+		}
+	}
+
+	order := make([]Item, 0, n)
+	mask := size - 1
+	for mask != 0 {
+		q := int(dpPrev[mask])
+		order = append(order, items[q])
+		mask &^= 1 << q
+	}
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
+// kmeansPlusPlusInitReference is kmeansPlusPlusInit as it stood before the
+// running minimum: every pick re-measures each point against every center.
+func kmeansPlusPlusInitReference(vecs [][]float64, k int, rng *rand.Rand) [][]float64 {
+	centers := make([][]float64, 0, k)
+	first := rng.Intn(len(vecs))
+	centers = append(centers, append([]float64(nil), vecs[first]...))
+	dists := make([]float64, len(vecs))
+	for len(centers) < k {
+		var total float64
+		for i, v := range vecs {
+			best := math.Inf(1)
+			for _, c := range centers {
+				if d := sqDist(v, c); d < best {
+					best = d
+				}
+			}
+			dists[i] = best
+			total += best
+		}
+		if total == 0 {
+			centers = append(centers, append([]float64(nil), vecs[rng.Intn(len(vecs))]...))
+			continue
+		}
+		r := rng.Float64() * total
+		idx := 0
+		for i, d := range dists {
+			r -= d
+			if r <= 0 {
+				idx = i
+				break
+			}
+		}
+		centers = append(centers, append([]float64(nil), vecs[idx]...))
+	}
+	return centers
+}
+
+// orderDPInput draws one seeded OrderDP input: 1–13 items over 1–150
+// distinct indexes (1–3 bitset words). A third of the seeds draw costs from
+// {1, 2, 3} to force ties; a quarter give the first item an empty index set
+// and the last a copy of another item's.
+func orderDPInput(seed int64) ([]Item, IndexCost) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(MaxDPQueries)
+	defs := make([]engine.IndexDef, 1+rng.Intn(150))
+	costs := map[string]float64{}
+	for i := range defs {
+		defs[i] = engine.NewIndexDef(fmt.Sprintf("t%d", i%7), fmt.Sprintf("c%d", i))
+		if seed%3 == 0 {
+			costs[defs[i].Key()] = float64(1 + rng.Intn(3))
+		} else {
+			costs[defs[i].Key()] = 10 * rng.ExpFloat64()
+		}
+	}
+	density := 0.05 + 0.6*rng.Float64()
+	items := make([]Item, n)
+	for i := range items {
+		m := map[string]engine.IndexDef{}
+		for _, d := range defs {
+			if rng.Float64() < density {
+				m[d.Key()] = d
+			}
+		}
+		items[i] = Item{Queries: []*engine.Query{{Name: fmt.Sprintf("q%d", i)}}, Indexes: m}
+	}
+	if seed%4 == 1 {
+		items[0].Indexes = map[string]engine.IndexDef{}
+		if n > 1 {
+			items[n-1].Indexes = maps.Clone(items[rng.Intn(n-1)].Indexes)
+		}
+	}
+	return items, fixedCost(costs)
+}
+
+// TestOrderDPMatchesReference: OrderDP returns exactly the reference
+// implementation's order — the same item at every position — on seeded
+// inputs spanning every bitset width, forced cost ties, and empty and
+// duplicated index sets.
+func TestOrderDPMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		items, cost := orderDPInput(seed)
+		got, want := OrderDP(items, cost), orderDPReference(items, cost)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d items, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Queries[0] != want[i].Queries[0] {
+				t.Fatalf("seed %d: position %d holds %s, reference %s", seed, i, got[i].Queries[0].Name, want[i].Queries[0].Name)
+			}
+		}
+	}
+}
+
+// kmeansInput draws 14–133 vectors: 0/1 index vectors on two thirds of the
+// seeds, arbitrary floats on the rest. Every fifth seed copies them from
+// fewer than 13 prototypes, so seeding reaches its total == 0 branch.
+func kmeansInput(seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	n, d := 14+rng.Intn(120), 1+rng.Intn(40)
+	draw := func() []float64 {
+		v := make([]float64, d)
+		for j := range v {
+			if seed%3 == 2 {
+				v[j] = rng.Float64()
+			} else if rng.Intn(2) == 0 {
+				v[j] = 1
+			}
+		}
+		return v
+	}
+	var protos [][]float64
+	if seed%5 == 0 {
+		for p := 1 + rng.Intn(MaxDPQueries-1); p > 0; p-- {
+			protos = append(protos, draw())
+		}
+	}
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		if protos != nil {
+			vecs[i] = append([]float64(nil), protos[rng.Intn(len(protos))]...)
+		} else {
+			vecs[i] = draw()
+		}
+	}
+	return vecs
+}
+
+// TestKmeansPlusPlusInitMatchesReference: k-means++ seeding picks bit-equal
+// centers and consumes the same random draws as the reference.
+func TestKmeansPlusPlusInitMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		vecs := kmeansInput(seed)
+		rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := kmeansPlusPlusInit(vecs, MaxDPQueries, rngGot)
+		want := kmeansPlusPlusInitReference(vecs, MaxDPQueries, rngWant)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d centers, reference %d", seed, len(got), len(want))
+		}
+		for c := range got {
+			for j := range got[c] {
+				if math.Float64bits(got[c][j]) != math.Float64bits(want[c][j]) {
+					t.Fatalf("seed %d: center %d differs from the reference at %d", seed, c, j)
+				}
+			}
+		}
+		if rngGot.Int63() != rngWant.Int63() {
+			t.Fatalf("seed %d: seeding consumed a different number of random draws", seed)
+		}
 	}
 }

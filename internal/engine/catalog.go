@@ -72,10 +72,13 @@ func (t *Table) Column(name string) *Column {
 	return nil
 }
 
-// Catalog is the schema plus statistics of a database.
+// Catalog is the schema plus statistics of a database. It is immutable
+// after NewCatalog.
 type Catalog struct {
 	Name   string
 	tables map[string]*Table
+	// totalBytes is the size of all tables, summed once by NewCatalog.
+	totalBytes int64
 }
 
 // NewCatalog builds a catalog from table definitions. Table and column names
@@ -98,6 +101,9 @@ func NewCatalog(name string, tables []Table) *Catalog {
 			t.ForeignKeys[j] = strings.ToLower(t.ForeignKeys[j])
 		}
 		c.tables[t.Name] = &t
+	}
+	for _, t := range c.tables {
+		c.totalBytes += t.SizeBytes()
 	}
 	return c
 }
@@ -139,13 +145,7 @@ func (c *Catalog) Fingerprint() string {
 }
 
 // TotalBytes returns the size of all tables.
-func (c *Catalog) TotalBytes() int64 {
-	var sum int64
-	for _, t := range c.tables {
-		sum += t.SizeBytes()
-	}
-	return sum
-}
+func (c *Catalog) TotalBytes() int64 { return c.totalBytes }
 
 // Validate checks referential sanity of the catalog definition.
 func (c *Catalog) Validate() error {

@@ -168,7 +168,7 @@ func (db *DB) hasIndexOnColumn(table, column string) bool {
 	table = strings.ToLower(table)
 	column = strings.ToLower(column)
 	for _, def := range db.indexes {
-		if def.Table == table && def.ColumnList()[0] == column {
+		if lead, _, _ := strings.Cut(def.Columns, "+"); def.Table == table && lead == column {
 			return true
 		}
 	}
@@ -185,13 +185,10 @@ func (db *DB) indexPrefixMatch(table, column string, wanted map[string]bool) []s
 	column = strings.ToLower(column)
 	var best []string
 	for _, def := range db.indexes {
-		if def.Table != table {
+		if lead, _, _ := strings.Cut(def.Columns, "+"); def.Table != table || lead != column {
 			continue
 		}
 		cols := def.ColumnList()
-		if cols[0] != column {
-			continue
-		}
 		n := 1
 		for _, c := range cols[1:] {
 			if !wanted[c] {

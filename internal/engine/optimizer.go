@@ -25,12 +25,15 @@ const (
 )
 
 // planner builds and costs a plan for one query under the current settings
-// and index set.
+// and index set. It names a table by its position in q.Analysis.Tables.
 type planner struct {
 	db *DB
 	q  *Query
-	// tables in the query, with per-table filtered cardinalities.
-	tables map[string]*tableInfo
+	// tables holds the query's tables by position, with per-table filtered
+	// cardinalities.
+	tables []tableInfo
+	// joins resolves q.Analysis.Joins, in order, against tables.
+	joins []joinRef
 	// scratch backs the maps and slices above; see plannerScratch.
 	s *plannerScratch
 }
@@ -42,45 +45,40 @@ type planner struct {
 // working state only — nothing in a returned Plan may alias it.
 type plannerScratch struct {
 	p          planner
-	tables     map[string]*tableInfo
-	infoPool   []*tableInfo
-	infoUsed   int
+	tables     []tableInfo
+	pos        map[string]int // table name → position in tables
+	joins      []joinRef
 	filterKind map[string]sqlparser.FilterKind
 	wanted     map[string]bool
-	joined     map[string]bool
-	names      []string
-	conds      []sqlparser.JoinCondition
-	bestConds  []sqlparser.JoinCondition
+	joined     []bool
+	conds      []joinRef
+	bestConds  []joinRef
 }
 
 func newPlannerScratch() *plannerScratch {
 	return &plannerScratch{
-		tables:     map[string]*tableInfo{},
+		pos:        map[string]int{},
 		filterKind: map[string]sqlparser.FilterKind{},
 		wanted:     map[string]bool{},
-		joined:     map[string]bool{},
 	}
-}
-
-// nextInfo hands out a zeroed tableInfo from the pool, growing it on demand.
-// Pointer identity is stable across the growth, so entries already published
-// in the tables map stay valid.
-func (s *plannerScratch) nextInfo() *tableInfo {
-	if s.infoUsed == len(s.infoPool) {
-		s.infoPool = append(s.infoPool, &tableInfo{})
-	}
-	ti := s.infoPool[s.infoUsed]
-	s.infoUsed++
-	*ti = tableInfo{}
-	return ti
 }
 
 type tableInfo struct {
+	name  string
 	table *Table
 	// filteredRows after applying constant predicates.
 	filteredRows float64
 	// scan holds the chosen access path.
 	scan PlanStep
+}
+
+// joinRef is one join condition of the query resolved against its tables:
+// the position of each side (-1 for a table outside the query) and the
+// distinct count of each side's column (0 when the column is unknown).
+type joinRef struct {
+	join                        int // index into q.Analysis.Joins
+	left, right                 int
+	leftDistinct, rightDistinct int64
 }
 
 // selectivity estimates the fraction of rows passing a constant filter.
@@ -165,31 +163,47 @@ func (db *DB) ioConcurrencyDiscount() float64 {
 	return d
 }
 
-// plan builds the full plan for q.
+// plan builds the full plan for q. It resolves the query's tables to
+// positions and its join conditions to (position, distinct count) pairs once,
+// so the join search below compares integers instead of strings.
 func (db *DB) plan(q *Query) *Plan {
 	if db.scratch == nil {
 		db.scratch = newPlannerScratch()
 	}
 	s := db.scratch
-	clear(s.tables)
-	s.infoUsed = 0
-	s.p = planner{db: db, q: q, tables: s.tables, s: s}
-	p := &s.p
-	for _, name := range q.Analysis.Tables {
+	clear(s.pos)
+	tables := s.tables[:0]
+	for i, name := range q.Analysis.Tables {
+		s.pos[name] = i
 		t := db.catalog.Table(name)
-		ti := s.nextInfo()
 		if t == nil {
 			// Unknown table: charge a nominal constant so execution still
 			// "works" (mirrors a view or tiny side table).
-			ti.table = &Table{Name: name, Rows: 1000, Columns: []Column{{Name: "c", WidthBytes: 8, Distinct: 1000}}}
-			ti.filteredRows = 1000
-			p.tables[name] = ti
-			continue
+			t = &Table{Name: name, Rows: 1000, Columns: []Column{{Name: "c", WidthBytes: 8, Distinct: 1000}}}
 		}
-		ti.table = t
-		ti.filteredRows = float64(t.Rows)
-		p.tables[name] = ti
+		tables = append(tables, tableInfo{name: name, table: t, filteredRows: float64(t.Rows)})
 	}
+	s.tables = tables
+	side := func(table, column string) (int, int64) {
+		i, ok := s.pos[table]
+		if !ok {
+			return -1, 0
+		}
+		if c := tables[i].table.Column(column); c != nil {
+			return i, c.Distinct
+		}
+		return i, 0
+	}
+	joins := s.joins[:0]
+	for i, j := range q.Analysis.Joins {
+		r := joinRef{join: i}
+		r.left, r.leftDistinct = side(j.LeftTable, j.LeftColumn)
+		r.right, r.rightDistinct = side(j.RightTable, j.RightColumn)
+		joins = append(joins, r)
+	}
+	s.joins = joins
+	s.p = planner{db: db, q: q, tables: tables, joins: joins, s: s}
+	p := &s.p
 	p.applyFilters()
 	p.chooseScans()
 	plan := p.orderJoins()
@@ -201,16 +215,17 @@ func (db *DB) plan(q *Query) *Plan {
 // predicates.
 func (p *planner) applyFilters() {
 	for _, f := range p.q.Analysis.Filters {
-		ti, ok := p.tables[f.Table]
+		i, ok := p.s.pos[f.Table]
 		if !ok {
 			continue
 		}
+		ti := &p.tables[i]
 		col := ti.table.Column(f.Column)
 		ti.filteredRows *= selectivity(col, f.Kind)
 	}
-	for _, ti := range p.tables {
-		if ti.filteredRows < 1 {
-			ti.filteredRows = 1
+	for i := range p.tables {
+		if p.tables[i].filteredRows < 1 {
+			p.tables[i].filteredRows = 1
 		}
 	}
 }
@@ -224,8 +239,9 @@ func (p *planner) chooseScans() {
 	par := db.parallelSpeedup()
 	ioc := db.ioConcurrencyDiscount()
 
-	for name, ti := range p.tables {
-		t := ti.table
+	for i := range p.tables {
+		ti := &p.tables[i]
+		name, t := ti.name, ti.table
 		pages := float64(t.Pages())
 		rows := float64(t.Rows)
 
@@ -303,14 +319,14 @@ func (p *planner) chooseScans() {
 	}
 }
 
-// joinsFor returns the join conditions linking table name to any table in
+// joinsFor returns the join conditions linking table n to any table in
 // joined. The result aliases the scratch conds buffer and is only valid
 // until the next joinsFor call (orderJoins copies the winner aside).
-func (p *planner) joinsFor(name string, joined map[string]bool) []sqlparser.JoinCondition {
+func (p *planner) joinsFor(n int, joined []bool) []joinRef {
 	out := p.s.conds[:0]
-	for _, j := range p.q.Analysis.Joins {
-		if (j.LeftTable == name && joined[j.RightTable]) ||
-			(j.RightTable == name && joined[j.LeftTable]) {
+	for _, j := range p.joins {
+		if (j.left == n && j.right >= 0 && joined[j.right]) ||
+			(j.right == n && j.left >= 0 && joined[j.left]) {
 			out = append(out, j)
 		}
 	}
@@ -322,29 +338,31 @@ func (p *planner) joinsFor(name string, joined map[string]bool) []sqlparser.Join
 // smallest filtered table, repeatedly add the connected table minimizing the
 // estimated join output.
 func (p *planner) orderJoins() *Plan {
-	names := append(p.s.names[:0], p.q.Analysis.Tables...)
-	p.s.names = names
-	if len(names) == 0 {
+	tables := p.tables
+	if len(tables) == 0 {
 		return &Plan{}
 	}
 	// Pick start: smallest filtered cardinality.
-	start := names[0]
-	for _, n := range names[1:] {
-		if p.tables[n].filteredRows < p.tables[start].filteredRows {
+	start := 0
+	for n := 1; n < len(tables); n++ {
+		if tables[n].filteredRows < tables[start].filteredRows {
 			start = n
 		}
 	}
-	joined := p.s.joined
+	if cap(p.s.joined) < len(tables) {
+		p.s.joined = make([]bool, len(tables))
+	}
+	joined := p.s.joined[:len(tables)]
 	clear(joined)
 	joined[start] = true
-	plan := &Plan{Steps: []PlanStep{p.tables[start].scan}}
-	curRows := p.tables[start].filteredRows
+	plan := &Plan{Steps: []PlanStep{tables[start].scan}}
+	curRows := tables[start].filteredRows
 
-	for len(joined) < len(names) {
-		bestName := ""
+	for k := 1; k < len(tables); k++ {
+		best := -1
 		bestRows := math.Inf(1)
 		bestConds := p.s.bestConds[:0]
-		for _, n := range names {
+		for n := range tables {
 			if joined[n] {
 				continue
 			}
@@ -355,49 +373,38 @@ func (p *planner) orderJoins() *Plan {
 			if len(conds) == 0 {
 				penalty = 1e12
 			}
-			if rows*penalty < bestRows {
+			// The first candidate always qualifies, so a table is chosen
+			// even when every estimate overflows to +Inf.
+			if best < 0 || rows*penalty < bestRows {
 				bestRows = rows * penalty
-				bestName = n
+				best = n
 				// Copy aside: conds aliases the scratch buffer the next
 				// joinsFor call overwrites.
 				bestConds = append(bestConds[:0], conds...)
 			}
 		}
 		p.s.bestConds = bestConds
-		step := p.joinStep(curRows, bestName, bestConds)
+		step := p.joinStep(curRows, best, bestConds)
 		plan.Steps = append(plan.Steps, step)
-		joined[bestName] = true
+		joined[best] = true
 		curRows = step.OutRows
 	}
 	return plan
 }
 
 // joinOutRows estimates the cardinality after joining the current
-// intermediate (curRows) with table n over conds.
-func (p *planner) joinOutRows(curRows float64, n string, conds []sqlparser.JoinCondition) float64 {
-	inner := p.tables[n]
-	out := curRows * inner.filteredRows
+// intermediate (curRows) with table n over conds, each of which links n to
+// a table already joined.
+func (p *planner) joinOutRows(curRows float64, n int, conds []joinRef) float64 {
+	out := curRows * p.tables[n].filteredRows
 	for _, c := range conds {
-		col := c.LeftColumn
-		tbl := c.LeftTable
-		if c.RightTable == n {
-			col = c.RightColumn
-			tbl = c.RightTable
+		// n's column distinct count, raised to the other side's when larger.
+		d, other := c.leftDistinct, c.rightDistinct
+		if c.right == n {
+			d, other = c.rightDistinct, c.leftDistinct
 		}
-		_ = tbl
-		d := int64(1)
-		if tc := inner.table.Column(col); tc != nil {
-			d = tc.Distinct
-		}
-		// Also consider the other side's distinct count.
-		otherTbl, otherCol := c.LeftTable, c.LeftColumn
-		if otherTbl == n {
-			otherTbl, otherCol = c.RightTable, c.RightColumn
-		}
-		if ot, ok := p.tables[otherTbl]; ok {
-			if oc := ot.table.Column(otherCol); oc != nil && oc.Distinct > d {
-				d = oc.Distinct
-			}
+		if other > d {
+			d = other
 		}
 		if d < 1 {
 			d = 1
@@ -411,20 +418,20 @@ func (p *planner) joinOutRows(curRows float64, n string, conds []sqlparser.JoinC
 }
 
 // joinStep builds the cheapest join operator bringing table n into the plan.
-func (p *planner) joinStep(curRows float64, n string, conds []sqlparser.JoinCondition) PlanStep {
+func (p *planner) joinStep(curRows float64, n int, conds []joinRef) PlanStep {
 	db := p.db
 	e := db.eff
-	inner := p.tables[n]
+	inner := &p.tables[n]
+	name := inner.name
 	outRows := p.joinOutRows(curRows, n, conds)
 	trueCache := db.cacheFrac()
 	par := db.parallelSpeedup()
 
 	var joinCond *sqlparser.JoinCondition
 	if len(conds) > 0 {
-		// Copy the condition out of the scratch buffer: the returned step is
-		// retained in the (possibly cached) Plan and must not alias reused
-		// planner scratch.
-		jc := conds[0]
+		// Copy the condition out of the query: the returned step is
+		// retained in the (possibly cached) Plan and must not alias it.
+		jc := p.q.Analysis.Joins[conds[0].join]
 		joinCond = &jc
 	}
 
@@ -451,19 +458,16 @@ func (p *planner) joinStep(curRows float64, n string, conds []sqlparser.JoinCond
 		hashEst *= 1e6
 	}
 
-	best := PlanStep{Kind: StepHashJoin, Table: n, Join: joinCond, EstCost: hashEst, TrueSeconds: hashTrue / unitsPerSecond, OutRows: outRows}
+	best := PlanStep{Kind: StepHashJoin, Table: name, Join: joinCond, EstCost: hashEst, TrueSeconds: hashTrue / unitsPerSecond, OutRows: outRows}
 
 	// Option 2: index nested-loop — for each outer row, probe inner's index
 	// on the join column.
 	if e.enableNestLoop && e.enableIndexScan && joinCond != nil {
 		innerCol := joinCond.LeftColumn
-		if joinCond.RightTable == n {
+		if conds[0].right == n {
 			innerCol = joinCond.RightColumn
 		}
-		if joinCond.LeftTable == n {
-			innerCol = joinCond.LeftColumn
-		}
-		if db.hasIndexOnColumn(n, innerCol) {
+		if db.hasIndexOnColumn(name, innerCol) {
 			innerRows := float64(inner.table.Rows)
 			height := math.Log2(innerRows + 2)
 			matchRows := outRows / math.Max(curRows, 1)
@@ -476,7 +480,7 @@ func (p *planner) joinStep(curRows float64, n string, conds []sqlparser.JoinCond
 			inlEst := curRows * perProbeEst
 			inlTrue := curRows * perProbeTrue / par
 			if inlEst < best.EstCost {
-				best = PlanStep{Kind: StepIndexNLJoin, Table: n, Join: joinCond, EstCost: inlEst, TrueSeconds: inlTrue / unitsPerSecond, OutRows: outRows}
+				best = PlanStep{Kind: StepIndexNLJoin, Table: name, Join: joinCond, EstCost: inlEst, TrueSeconds: inlTrue / unitsPerSecond, OutRows: outRows}
 			}
 		}
 	}
@@ -490,7 +494,7 @@ func (p *planner) joinStep(curRows float64, n string, conds []sqlparser.JoinCond
 		mergeEst := scan.EstCost + so.est(e) + si.est(e) + (curRows+inner.filteredRows)*e.cpuOperatorCost
 		mergeTrue := scan.TrueSeconds*unitsPerSecond + (so.truth()+si.truth())/par + (curRows+inner.filteredRows)*trueCPUOperator/par
 		if mergeEst < best.EstCost || (best.Kind == StepHashJoin && !e.enableHashJoin) {
-			best = PlanStep{Kind: StepMergeJoin, Table: n, Join: joinCond, EstCost: mergeEst, TrueSeconds: mergeTrue / unitsPerSecond, OutRows: outRows}
+			best = PlanStep{Kind: StepMergeJoin, Table: name, Join: joinCond, EstCost: mergeEst, TrueSeconds: mergeTrue / unitsPerSecond, OutRows: outRows}
 		}
 	}
 
@@ -498,7 +502,7 @@ func (p *planner) joinStep(curRows float64, n string, conds []sqlparser.JoinCond
 	if joinCond == nil {
 		nlEst := scan.EstCost + curRows*inner.filteredRows*e.cpuOperatorCost
 		nlTrue := scan.TrueSeconds*unitsPerSecond + curRows*inner.filteredRows*trueCPUOperator/par
-		best = PlanStep{Kind: StepNestLoop, Table: n, Join: joinCond, EstCost: nlEst, TrueSeconds: nlTrue / unitsPerSecond, OutRows: outRows}
+		best = PlanStep{Kind: StepNestLoop, Table: name, Join: joinCond, EstCost: nlEst, TrueSeconds: nlTrue / unitsPerSecond, OutRows: outRows}
 	}
 	return best
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -378,6 +379,9 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 		return nil, err
 	}
 	defaultSeconds := rt.defaultWorkloadSeconds(d, w)
+	if math.IsInf(defaultSeconds, 0) || math.IsNaN(defaultSeconds) {
+		return nil, fmt.Errorf("%w: the default configuration runs the workload in %v seconds", ErrNonFiniteCost, defaultSeconds)
+	}
 	topts := opts.toTuner()
 	topts.SharedPrompt = rt.sharedPrompt(d, w, topts.Prompt)
 	// Tuning mutates the job database from here on (configs applied, indexes
