@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check ci bench scaling bench-race bench-runtime bench-obs chaos lambdabench lambdabench-compare
+.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling bench-race bench-runtime bench-obs chaos lambdabench lambdabench-compare
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,15 @@ verify: build vet test race
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-## ci: what .github/workflows/ci.yml runs — the tier-1 gate plus formatting.
-ci: fmt-check verify
+## lambdabench-check: vet and short-test the lambdabench module, which
+## compiles against the internal packages but is outside ./... .
+lambdabench-check:
+	$(GO) -C lambdabench vet ./...
+	$(GO) -C lambdabench test -short ./...
+
+## ci: what .github/workflows/ci.yml runs — the tier-1 gate, formatting, and
+## the lambdabench module's vet and short tests.
+ci: fmt-check verify lambdabench-check
 
 ## bench: regenerate every paper table & figure (one iteration each).
 bench:

@@ -548,7 +548,7 @@ func (d *Database) Instrument() {
 // Instrument was called, formatted for humans, or "" when the database is
 // not instrumented.
 func (d *Database) BackendReport() string {
-	ib, ok := d.db.(backend.Instrumented)
+	ib, ok := d.db.(*instrumented.Backend)
 	if !ok {
 		return ""
 	}
@@ -560,9 +560,9 @@ func (d *Database) BackendReport() string {
 // (enabled by default on the simulator). Memoization only changes host CPU
 // time — every simulated measurement, the virtual clock, and the tuning
 // outcome are identical either way — so the toggle exists for benchmarking
-// the cache itself. A no-op on backends without the capability.
-func (d *Database) SetPlanCache(on bool) { backend.SetPlanCache(d.db, on) }
+// the cache itself.
+func (d *Database) SetPlanCache(on bool) { d.db.SetPlanCache(on) }
 
 // PlanCacheStats returns the backend's plan-memoization counters (hits,
-// misses, evictions), or zeros on backends without the capability.
-func (d *Database) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCacheStats(d.db) }
+// misses, evictions).
+func (d *Database) PlanCacheStats() engine.PlanCacheStats { return d.db.PlanCacheStats() }

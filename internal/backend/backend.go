@@ -3,17 +3,12 @@
 // four surfaces — timed query execution under a configuration, EXPLAIN join
 // costs, index-creation cost, and configuration acceptance (ALTER SYSTEM /
 // CREATE INDEX) — and Backend codifies those surfaces plus the accessors the
-// pipeline needs (flavor, catalog, hardware, virtual clock). Everything above
-// this package (core/tuner, core/selector, core/evaluator, core/prompt, the
-// baselines, the bench harness, and the public API) talks to a Backend;
-// nothing above it may name the concrete simulator type.
-//
-// Optional abilities — snapshotting for parallel evaluation, fault injection,
-// execution hooks, raw settings access — are capability interfaces a backend
-// may additionally implement. Callers discover them with type assertions (or
-// the package-level helpers, which degrade to zero values), so a minimal
-// backend stays minimal: evaluator.Pool, for example, falls back to
-// sequential evaluation when the backend is not a Snapshotter.
+// pipeline needs (flavor, catalog, hardware, virtual clock), snapshotting for
+// parallel evaluation, fault injection, and the plan-cache toggle. Everything
+// above this package (core/tuner, core/selector, core/evaluator, core/prompt,
+// the baselines, the bench harness, and the public API) talks to a Backend;
+// only scenario setup and studies that need the simulator's extras (raw
+// settings, execution hooks) hold the concrete *Sim.
 //
 // Implementations register an Opener under a name (Register); Open
 // instantiates one from a Spec. The built-in simulator registers as "sim" and
@@ -97,134 +92,40 @@ type Backend interface {
 	// what-if costing surface the index-advisor baselines compare hypothetical
 	// index sets with. No clock advance.
 	PlanCost(q *engine.Query) float64
-}
 
-// Snapshotter is the capability to clone a backend for parallel candidate
-// evaluation. Snapshot returns an independent replica (own clock starting at
-// the parent's current time, own configuration and index set, shared
-// immutable statistics); AbsorbSnapshot folds a replica's operation counters
-// back into the parent. evaluator.Pool requires this capability for its
-// parallel path and degrades to sequential evaluation without it.
-type Snapshotter interface {
+	// Snapshot returns an independent replica for parallel candidate
+	// evaluation: its own clock starting at the parent's current time, its
+	// own configuration and index set, shared immutable statistics.
 	Snapshot() Backend
+	// AbsorbSnapshot folds a replica's operation counters back into this
+	// instance. evaluator.Pool snapshots one replica per worker and absorbs
+	// them after each round.
 	AbsorbSnapshot(Backend)
-}
 
-// FaultInjectable is the capability to inject engine-side faults (query
-// aborts, index-build failures) and to report how many fired.
-type FaultInjectable interface {
+	// SetFaultInjector installs an engine-side fault injector (query aborts,
+	// index-build failures); nil detaches it.
 	SetFaultInjector(engine.FaultInjector)
+	// HasFaultInjector reports whether an injector is installed. Injected
+	// fault sequences are defined on the primary's clock, so the selector
+	// evaluates sequentially while one is.
 	HasFaultInjector() bool
+	// QueryAborts returns how many query executions injected faults killed.
 	QueryAborts() int
+	// IndexFailures returns how many index builds injected faults failed.
 	IndexFailures() int
-}
 
-// Hookable is the capability to observe every query execution (used by the
-// scaling study to attach real CPU cost to simulated executions). Snapshots
-// inherit the hook, so implementations must be safe for concurrent use.
-type Hookable interface {
-	SetExecHook(engine.ExecHook)
-}
-
-// SettingsAccessor is the capability to read and write the raw parameter
-// assignment directly, bypassing configuration scripts. Benchmark setup code
-// uses it; the tuning core does not.
-type SettingsAccessor interface {
-	Settings() engine.Settings
-	SetSettings(engine.Settings)
-	ResetSettings()
-}
-
-// ExecutionCounter is the capability to report how many query executions
-// completed — test and telemetry introspection.
-type ExecutionCounter interface {
-	Executions() int
-}
-
-// Instrumented is the capability to report per-surface observation
-// statistics. The instrumented decorator (backend/instrumented) provides it;
-// the tuner exports the stats on Result when present.
-type Instrumented interface {
-	BackendStats() Stats
-}
-
-// PlanCache is the capability to memoize query plans per configuration (the
-// simulator does, see engine/plancache.go): report the hit/miss/evict
-// counters, switch memoization on or off, and report whether it is on.
-// Memoization never changes observable results — only host CPU time — so the
-// toggle exists for benchmarking and debugging, not for correctness. The
-// instrumented decorator folds the counters into Stats.PlanCache, and
-// components that layer their own result memoization on top of the backend
-// (the evaluator's schedule-order memo) consult PlanCacheEnabled so one
-// toggle governs every caching layer.
-type PlanCache interface {
+	// PlanCacheStats returns the plan-memoization counters (hits, misses,
+	// evictions), shared with every snapshot taken from this instance.
 	PlanCacheStats() engine.PlanCacheStats
+	// SetPlanCache switches plan memoization on or off. Memoization never
+	// changes observable results — only host CPU time — so the toggle exists
+	// for benchmarking and debugging, not for correctness.
 	SetPlanCache(on bool)
+	// PlanCacheEnabled reports whether plans are memoized. Components that
+	// layer their own result memoization on top of the backend (the
+	// evaluator's schedule-order memo) consult it so one toggle governs
+	// every caching layer.
 	PlanCacheEnabled() bool
-}
-
-// HasFaultInjector reports whether b supports fault injection and has an
-// injector installed. False for backends without the capability.
-func HasFaultInjector(b Backend) bool {
-	if fi, ok := b.(FaultInjectable); ok {
-		return fi.HasFaultInjector()
-	}
-	return false
-}
-
-// QueryAborts returns b's injected-query-abort count, or 0 without the
-// capability.
-func QueryAborts(b Backend) int {
-	if fi, ok := b.(FaultInjectable); ok {
-		return fi.QueryAborts()
-	}
-	return 0
-}
-
-// IndexFailures returns b's injected-index-failure count, or 0 without the
-// capability.
-func IndexFailures(b Backend) int {
-	if fi, ok := b.(FaultInjectable); ok {
-		return fi.IndexFailures()
-	}
-	return 0
-}
-
-// Executions returns b's completed-execution count, or 0 without the
-// capability.
-func Executions(b Backend) int {
-	if ec, ok := b.(ExecutionCounter); ok {
-		return ec.Executions()
-	}
-	return 0
-}
-
-// PlanCacheStats returns b's plan-memoization counters, or zeros without the
-// capability.
-func PlanCacheStats(b Backend) engine.PlanCacheStats {
-	if pc, ok := b.(PlanCache); ok {
-		return pc.PlanCacheStats()
-	}
-	return engine.PlanCacheStats{}
-}
-
-// SetPlanCache toggles b's plan memoization when supported; a no-op
-// otherwise.
-func SetPlanCache(b Backend, on bool) {
-	if pc, ok := b.(PlanCache); ok {
-		pc.SetPlanCache(on)
-	}
-}
-
-// PlanCacheEnabled reports whether b currently memoizes plans. Backends
-// without the capability report true: memoization layers built on top of the
-// backend are exact regardless (their keys capture every backend value they
-// fold in), so only an explicit cache-off needs to disable them.
-func PlanCacheEnabled(b Backend) bool {
-	if pc, ok := b.(PlanCache); ok {
-		return pc.PlanCacheEnabled()
-	}
-	return true
 }
 
 // Spec carries everything an Opener needs to instantiate a backend for one

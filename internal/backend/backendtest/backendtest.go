@@ -2,7 +2,7 @@
 // implementation must pass. It pins the behavioral contract the tuning core
 // relies on — the clock semantics of the four observation surfaces, typed
 // configuration rejection, idempotent index-creation cost accounting, clock
-// monotonicity, and (when the backend is a Snapshotter) replica isolation.
+// monotonicity, replica isolation, and plan-cache coherence.
 // The suite runs on a TPC-H 1GB Postgres spec; register a backend and run
 // Run against its Open function, as internal/backend's conformance test does
 // for every registered backend.
@@ -318,21 +318,25 @@ func testClockMonotonicity(t *testing.T, f Factory) {
 	check("DropTransientIndexes")
 }
 
-// testSnapshotIsolation: when the backend is a Snapshotter, replicas must be
-// isolated — their clocks, configurations and index sets evolve
-// independently — and AbsorbSnapshot folds execution counters back into the
-// parent when the backend counts executions.
+// executionCounter is implemented by backends that count completed query
+// executions (the simulator and the instrumented decorator over it).
+type executionCounter interface{ Executions() int }
+
+// statsReporter is implemented by backends that report per-surface
+// observation statistics (the instrumented decorator).
+type statsReporter interface{ BackendStats() backend.Stats }
+
+// testSnapshotIsolation: replicas must be isolated — their clocks,
+// configurations and index sets evolve independently — and AbsorbSnapshot
+// folds execution counters back into the parent when the backend counts
+// executions.
 func testSnapshotIsolation(t *testing.T, f Factory) {
 	b := open(t, f)
-	sn, ok := b.(backend.Snapshotter)
-	if !ok {
-		t.Skip("backend is not a Snapshotter")
-	}
 	qs := queries(t)
 	q := qs[0]
 	c0 := b.Clock().Now()
 
-	snap := sn.Snapshot()
+	snap := b.Snapshot()
 	if snap == nil {
 		t.Fatal("Snapshot returned nil")
 	}
@@ -368,27 +372,27 @@ func testSnapshotIsolation(t *testing.T, f Factory) {
 	}
 
 	// Counter folding, when the backend counts executions.
-	if _, counts := b.(backend.ExecutionCounter); counts {
-		before := backend.Executions(b)
-		sn.AbsorbSnapshot(snap)
-		if got := backend.Executions(b); got != before+1 {
+	if ec, counts := b.(executionCounter); counts {
+		before := ec.Executions()
+		b.AbsorbSnapshot(snap)
+		if got := ec.Executions(); got != before+1 {
 			t.Errorf("AbsorbSnapshot: parent executions %d, want %d", got, before+1)
 		}
 	} else {
-		sn.AbsorbSnapshot(snap)
+		b.AbsorbSnapshot(snap)
 	}
 }
 
-// testInstrumentedMonotonicity: when the backend advertises the Instrumented
-// capability, each observation-surface call must monotonically increase that
+// testInstrumentedMonotonicity: when the backend reports per-surface
+// statistics, each observation-surface call must monotonically increase that
 // surface's call counter (and only that surface's), errors must count against
 // the erroring surface, and the virtual-time histogram must absorb exactly the
 // time the call charged to the clock.
 func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	b := open(t, f)
-	ins, ok := b.(backend.Instrumented)
+	ins, ok := b.(statsReporter)
 	if !ok {
-		t.Skip("backend is not Instrumented")
+		t.Skip("backend reports no per-surface statistics")
 	}
 	qs := queries(t)
 	q := qs[0]
@@ -466,10 +470,9 @@ func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 // testPlanCacheCoherence: a backend may memoize plans per configuration, but
 // memoization must never be observable in the measurements — repeat
 // measurements are self-consistent, and configuration or index mutations
-// never serve stale plans. When the backend reports plan-cache telemetry
-// (backend.PlanCache) with a live cache, the counters must follow the
-// invalidation rules: identical re-measurement hits, a settings change
-// misses.
+// never serve stale plans. With a live cache, the plan-cache counters must
+// follow the invalidation rules: identical re-measurement hits, a settings
+// change misses.
 func testPlanCacheCoherence(t *testing.T, f Factory) {
 	b := open(t, f)
 	qs := queries(t)
@@ -521,17 +524,14 @@ func testPlanCacheCoherence(t *testing.T, f Factory) {
 		t.Errorf("reset did not restore default measurements: %v, want %v", got, w0)
 	}
 
-	// Telemetry contract, for backends with a live plan cache. (A decorator
-	// may advertise the capability while its inner backend does not memoize;
-	// zero lookups then simply skips the counter assertions.)
-	pc, ok := b.(backend.PlanCache)
-	if !ok || pc.PlanCacheStats().Lookups() == 0 {
+	// Telemetry contract, whenever the cache is on (the default).
+	if !b.PlanCacheEnabled() {
 		return
 	}
 	// Identical re-measurement must be served from the cache.
-	before := pc.PlanCacheStats()
+	before := b.PlanCacheStats()
 	b.WorkloadSeconds(qs)
-	after := pc.PlanCacheStats()
+	after := b.PlanCacheStats()
 	if after.Hits <= before.Hits {
 		t.Errorf("identical re-measurement added no cache hits: %+v -> %+v", before, after)
 	}
@@ -542,9 +542,9 @@ func testPlanCacheCoherence(t *testing.T, f Factory) {
 	if err := b.ApplyConfig(&engine.Config{ID: "shift", Params: map[string]string{"work_mem": "3GB"}}); err != nil {
 		t.Fatalf("ApplyConfig(shift): %v", err)
 	}
-	mid := pc.PlanCacheStats()
+	mid := b.PlanCacheStats()
 	b.QuerySeconds(qs[0])
-	end := pc.PlanCacheStats()
+	end := b.PlanCacheStats()
 	if end.Misses <= mid.Misses {
 		t.Errorf("settings change did not invalidate the plan cache: %+v -> %+v", mid, end)
 	}

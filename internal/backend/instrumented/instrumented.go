@@ -1,10 +1,9 @@
 // Package instrumented decorates any backend.Backend with per-surface call
 // counters and latency histograms — one wall-clock and one virtual-clock
 // histogram per observation surface. It exists both as a practical telemetry
-// layer (tuner.Result exports the stats when present) and as proof that the
-// backend seam composes: the decorator is itself a conforming Backend,
-// forwards every capability of its inner backend, and registers as
-// "instrumented" so it participates in the conformance suite.
+// layer (Database.BackendReport prints the stats) and as proof that the
+// backend seam composes: the decorator is itself a conforming Backend and
+// registers as "instrumented" so it participates in the conformance suite.
 package instrumented
 
 import (
@@ -120,46 +119,26 @@ type Backend struct {
 	c     *collector
 }
 
-// Wrap decorates inner. The returned backend forwards every method and every
-// capability; only the four paper surfaces (ApplyConfig, CreateIndex,
-// RunQuery, Explain) are instrumented. When inner implements
-// backend.Snapshotter the result does too (snapshots share one stats
-// collector); when it does not, neither does the result — capability probes
-// like evaluator.Pool's must see the truth, or they would clone a decorator
-// around shared state.
-func Wrap(inner backend.Backend) backend.Backend {
-	b := &Backend{inner: inner, c: &collector{}}
-	if _, ok := inner.(backend.Snapshotter); ok {
-		return &snapshottable{b}
-	}
-	return b
-}
-
-// snapshottable adds the Snapshotter capability to a decorator whose inner
-// backend supports it.
-type snapshottable struct {
-	*Backend
+// Wrap decorates inner. The returned backend forwards every method; only the
+// four paper surfaces (ApplyConfig, CreateIndex, RunQuery, Explain) are
+// instrumented.
+func Wrap(inner backend.Backend) *Backend {
+	return &Backend{inner: inner, c: &collector{}}
 }
 
 // Snapshot clones the inner backend and wraps the clone with this decorator's
 // stats collector, so work done on replicas aggregates with the parent's.
-func (b *snapshottable) Snapshot() backend.Backend {
-	inner := b.inner.(backend.Snapshotter).Snapshot()
-	return &snapshottable{&Backend{inner: inner, c: b.c}}
+func (b *Backend) Snapshot() backend.Backend {
+	return &Backend{inner: b.inner.Snapshot(), c: b.c}
 }
 
 // AbsorbSnapshot folds a replica's counters back into the inner backend.
-func (b *snapshottable) AbsorbSnapshot(o backend.Backend) {
-	sn := b.inner.(backend.Snapshotter)
-	if ib, ok := o.(*snapshottable); ok {
-		sn.AbsorbSnapshot(ib.inner)
-		return
+func (b *Backend) AbsorbSnapshot(o backend.Backend) {
+	if ib, ok := o.(*Backend); ok {
+		o = ib.inner
 	}
-	sn.AbsorbSnapshot(o)
+	b.inner.AbsorbSnapshot(o)
 }
-
-// Unwrap returns the decorated backend.
-func (b *Backend) Unwrap() backend.Backend { return b.inner }
 
 // AttachMetrics routes every future surface observation into reg as
 // backend_<surface>_{calls,errors,virtual_seconds,wall_seconds}_total
@@ -178,14 +157,13 @@ func (b *Backend) AttachMetrics(reg *obs.Registry) {
 	b.c.reg = reg
 }
 
-// BackendStats implements backend.Instrumented: a consistent snapshot of the
-// accumulated telemetry, shared with all snapshots taken from this backend.
-// When the inner backend reports plan-memoization counters (the
-// backend.PlanCache capability), they are folded into Stats.PlanCache
-// and, when a registry is attached, mirrored as backend_plan_cache_* gauges.
+// BackendStats returns a consistent snapshot of the accumulated telemetry,
+// shared with all snapshots taken from this backend. The inner backend's
+// plan-memoization counters are folded into Stats.PlanCache and, when a
+// registry is attached, mirrored as backend_plan_cache_* gauges.
 func (b *Backend) BackendStats() backend.Stats {
 	st := b.c.snapshot()
-	st.PlanCache = backend.PlanCacheStats(b.inner)
+	st.PlanCache = b.inner.PlanCacheStats()
 	if reg := b.c.reg; reg != nil {
 		reg.Gauge("backend_plan_cache_hits").Set(float64(st.PlanCache.Hits))
 		reg.Gauge("backend_plan_cache_misses").Set(float64(st.PlanCache.Misses))
@@ -276,68 +254,32 @@ func (b *Backend) WorkloadSeconds(qs []*engine.Query) float64 { return b.inner.W
 // PlanCost forwards to the inner backend.
 func (b *Backend) PlanCost(q *engine.Query) float64 { return b.inner.PlanCost(q) }
 
-// Capability forwarding: the decorator advertises a capability exactly as far
-// as the inner backend supports it, so capability checks made through the
-// helpers in package backend (backend.HasFaultInjector etc.) see the truth.
-// Setter-shaped capabilities are silent no-ops when the inner backend lacks
-// them, mirroring how an unsupported feature behaves on a remote DBMS.
+// SetFaultInjector forwards to the inner backend.
+func (b *Backend) SetFaultInjector(fi engine.FaultInjector) { b.inner.SetFaultInjector(fi) }
 
-// SetFaultInjector forwards when supported.
-func (b *Backend) SetFaultInjector(fi engine.FaultInjector) {
-	if f, ok := b.inner.(backend.FaultInjectable); ok {
-		f.SetFaultInjector(fi)
+// HasFaultInjector forwards to the inner backend.
+func (b *Backend) HasFaultInjector() bool { return b.inner.HasFaultInjector() }
+
+// QueryAborts forwards to the inner backend.
+func (b *Backend) QueryAborts() int { return b.inner.QueryAborts() }
+
+// IndexFailures forwards to the inner backend.
+func (b *Backend) IndexFailures() int { return b.inner.IndexFailures() }
+
+// PlanCacheStats forwards to the inner backend.
+func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return b.inner.PlanCacheStats() }
+
+// SetPlanCache forwards to the inner backend.
+func (b *Backend) SetPlanCache(on bool) { b.inner.SetPlanCache(on) }
+
+// PlanCacheEnabled forwards to the inner backend.
+func (b *Backend) PlanCacheEnabled() bool { return b.inner.PlanCacheEnabled() }
+
+// Executions reports the inner backend's completed-execution count (0 when it
+// does not count them).
+func (b *Backend) Executions() int {
+	if ec, ok := b.inner.(interface{ Executions() int }); ok {
+		return ec.Executions()
 	}
+	return 0
 }
-
-// HasFaultInjector reports the inner backend's state (false when
-// unsupported).
-func (b *Backend) HasFaultInjector() bool { return backend.HasFaultInjector(b.inner) }
-
-// QueryAborts reports the inner backend's count (0 when unsupported).
-func (b *Backend) QueryAborts() int { return backend.QueryAborts(b.inner) }
-
-// IndexFailures reports the inner backend's count (0 when unsupported).
-func (b *Backend) IndexFailures() int { return backend.IndexFailures(b.inner) }
-
-// SetExecHook forwards when supported.
-func (b *Backend) SetExecHook(h engine.ExecHook) {
-	if hk, ok := b.inner.(backend.Hookable); ok {
-		hk.SetExecHook(h)
-	}
-}
-
-// Settings forwards when supported (nil otherwise).
-func (b *Backend) Settings() engine.Settings {
-	if sa, ok := b.inner.(backend.SettingsAccessor); ok {
-		return sa.Settings()
-	}
-	return nil
-}
-
-// SetSettings forwards when supported.
-func (b *Backend) SetSettings(s engine.Settings) {
-	if sa, ok := b.inner.(backend.SettingsAccessor); ok {
-		sa.SetSettings(s)
-	}
-}
-
-// ResetSettings forwards when supported.
-func (b *Backend) ResetSettings() {
-	if sa, ok := b.inner.(backend.SettingsAccessor); ok {
-		sa.ResetSettings()
-	}
-}
-
-// Executions reports the inner backend's count (0 when unsupported).
-func (b *Backend) Executions() int { return backend.Executions(b.inner) }
-
-// PlanCacheStats reports the inner backend's plan-memoization counters
-// (zeros when unsupported).
-func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return backend.PlanCacheStats(b.inner) }
-
-// SetPlanCache forwards when supported.
-func (b *Backend) SetPlanCache(on bool) { backend.SetPlanCache(b.inner, on) }
-
-// PlanCacheEnabled reports the inner backend's memoization toggle (true when
-// unsupported).
-func (b *Backend) PlanCacheEnabled() bool { return backend.PlanCacheEnabled(b.inner) }

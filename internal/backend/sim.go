@@ -3,9 +3,9 @@ package backend
 import "lambdatune/internal/engine"
 
 // Sim adapts the engine simulator (engine.DB) to the Backend contract. It is
-// the default backend, registered as "sim", and implements every capability
-// interface: Snapshotter, FaultInjectable, Hookable, SettingsAccessor,
-// ExecutionCounter and PlanCache.
+// the default backend, registered as "sim". Its extras beyond the contract —
+// raw settings access, the execution hook, execution and permanent-index
+// counts — serve scenario setup, studies and tests.
 type Sim struct {
 	db *engine.DB
 }
@@ -80,53 +80,55 @@ func (s *Sim) Explain(q *engine.Query) []engine.JoinCost { return s.db.Explain(q
 // PlanCost returns the optimizer's total cost estimate for q.
 func (s *Sim) PlanCost(q *engine.Query) float64 { return s.db.Plan(q).EstCost() }
 
-// Snapshot implements Snapshotter: an independent replica for parallel
-// candidate evaluation.
+// Snapshot returns an independent replica for parallel candidate evaluation.
 func (s *Sim) Snapshot() Backend { return &Sim{db: s.db.Snapshot()} }
 
-// AbsorbSnapshot implements Snapshotter: folds a replica's operation counters
-// back into this instance. Non-Sim backends are ignored.
+// AbsorbSnapshot folds a replica's operation counters back into this
+// instance. Non-Sim backends are ignored.
 func (s *Sim) AbsorbSnapshot(o Backend) {
 	if snap, ok := o.(*Sim); ok {
 		s.db.AbsorbSnapshot(snap.db)
 	}
 }
 
-// SetFaultInjector implements FaultInjectable.
+// SetFaultInjector installs an engine-side fault injector (nil detaches it).
 func (s *Sim) SetFaultInjector(fi engine.FaultInjector) { s.db.SetFaultInjector(fi) }
 
-// HasFaultInjector implements FaultInjectable.
+// HasFaultInjector reports whether an injector is installed.
 func (s *Sim) HasFaultInjector() bool { return s.db.HasFaultInjector() }
 
-// QueryAborts implements FaultInjectable.
+// QueryAborts returns the injected-query-abort count.
 func (s *Sim) QueryAborts() int { return s.db.QueryAborts() }
 
-// IndexFailures implements FaultInjectable.
+// IndexFailures returns the injected-index-failure count.
 func (s *Sim) IndexFailures() int { return s.db.IndexFailures() }
 
-// SetExecHook implements Hookable.
+// SetExecHook observes every query execution (the scaling study attaches real
+// CPU cost to simulated executions with it). Snapshots inherit the hook, so it
+// must be safe for concurrent use.
 func (s *Sim) SetExecHook(h engine.ExecHook) { s.db.SetExecHook(h) }
 
-// Settings implements SettingsAccessor.
+// Settings returns a copy of the raw parameter assignment.
 func (s *Sim) Settings() engine.Settings { return s.db.Settings() }
 
-// SetSettings implements SettingsAccessor.
+// SetSettings installs a raw parameter assignment, bypassing configuration
+// scripts.
 func (s *Sim) SetSettings(set engine.Settings) { s.db.SetSettings(set) }
 
-// ResetSettings implements SettingsAccessor.
+// ResetSettings restores the default parameter assignment.
 func (s *Sim) ResetSettings() { s.db.ResetSettings() }
 
-// Executions implements ExecutionCounter.
+// Executions returns how many query executions completed.
 func (s *Sim) Executions() int { return s.db.Executions() }
 
-// PlanCacheStats implements PlanCache: the engine's plan-memoization
-// counters, shared with every snapshot taken from this instance.
+// PlanCacheStats returns the engine's plan-memoization counters, shared with
+// every snapshot taken from this instance.
 func (s *Sim) PlanCacheStats() engine.PlanCacheStats { return s.db.PlanCacheStats() }
 
-// SetPlanCache implements PlanCache.
+// SetPlanCache switches the engine's plan memoization on or off.
 func (s *Sim) SetPlanCache(on bool) { s.db.SetPlanCache(on) }
 
-// PlanCacheEnabled implements PlanCache.
+// PlanCacheEnabled reports whether the engine memoizes plans.
 func (s *Sim) PlanCacheEnabled() bool { return s.db.PlanCacheEnabled() }
 
 // PermanentIndexCount returns the number of initial indexes.

@@ -8,33 +8,19 @@ import (
 	"lambdatune/internal/engine"
 )
 
-// histBuckets are the upper bounds (exclusive) of the latency histogram, in
-// seconds: decades from 1µs to 10ks, plus an overflow bucket. One bucket
-// layout serves both wall-clock latencies (microseconds in the simulator) and
-// virtual-clock charges (seconds to hours).
-var histBuckets = [...]float64{
-	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4,
-}
-
-// Histogram is a fixed-bucket latency histogram over seconds. The zero value
-// is ready to use. It is a plain value type — the instrumented decorator
-// serializes updates; snapshots returned by BackendStats are safe to read
-// without locking.
+// Histogram summarizes latency observations in seconds: count, sum, min and
+// max. The zero value is ready to use. It is a plain value type — the
+// instrumented decorator serializes updates; snapshots returned by
+// BackendStats are safe to read without locking.
 type Histogram struct {
-	Counts [len(histBuckets) + 1]uint64
-	Count  uint64
-	Sum    float64
-	Min    float64
-	Max    float64
+	Count uint64
+	Sum   float64
+	Min   float64
+	Max   float64
 }
 
 // Observe records one measurement.
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(histBuckets) && v >= histBuckets[i] {
-		i++
-	}
-	h.Counts[i]++
 	if h.Count == 0 || v < h.Min {
 		h.Min = v
 	}
@@ -91,8 +77,7 @@ type SurfaceStats struct {
 
 // Stats is the per-surface telemetry of an instrumented backend, keyed by the
 // paper's four observation surfaces, plus the backend's plan-memoization
-// counters when it exposes them (see the PlanCache capability). It is a
-// plain value snapshot.
+// counters. It is a plain value snapshot.
 type Stats struct {
 	ApplyConfig SurfaceStats
 	CreateIndex SurfaceStats

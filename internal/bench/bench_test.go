@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/engine"
 )
 
@@ -55,11 +54,7 @@ func TestScenarioInitialIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, ok := db.(*backend.Sim)
-	if !ok {
-		t.Fatalf("scenario backend is %T, want *backend.Sim", db)
-	}
-	if sim.PermanentIndexCount() == 0 {
+	if db.PermanentIndexCount() == 0 {
 		t.Error("no initial indexes in initial-index scenario")
 	}
 }
@@ -184,7 +179,7 @@ func TestDexterAndDB2IndexHelpers(t *testing.T) {
 		t.Error("DB2 helper returned nothing")
 	}
 	// Helpers must restore settings.
-	if db.(backend.SettingsAccessor).Settings()["random_page_cost"] != 4.0 {
+	if db.Settings()["random_page_cost"] != 4.0 {
 		t.Error("helper leaked planner settings")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/core/tuner"
 	"lambdatune/internal/engine"
 )
@@ -31,7 +30,7 @@ func TestGoldenSelectionE1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				backend.SetPlanCache(db, cache)
+				db.SetPlanCache(cache)
 				def := db.WorkloadSeconds(w.Queries)
 				opts := tuner.DefaultOptions()
 				opts.Seed = 1

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/core/selector"
 	"lambdatune/internal/core/tuner"
@@ -96,7 +95,7 @@ func RaceTrial(seed int64, samples int, strategy selector.Strategy) (RaceRow, er
 	if err != nil {
 		return row, err
 	}
-	stats := idb.(backend.Instrumented).BackendStats()
+	stats := idb.BackendStats()
 	row.EvaluatedQuerySeconds = stats.RunQuery.Virtual.Sum
 	row.QueryRuns = stats.RunQuery.Calls
 	if res.Best != nil {

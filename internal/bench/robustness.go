@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/core/tuner"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/faults"
@@ -51,9 +50,7 @@ func RobustnessTrial(seed int64, llmRate, engineRate float64) RobustnessRow {
 	row.DefaultTime = db.WorkloadSeconds(w.Queries)
 
 	inj := faults.NewInjector(faults.NewPlan(llmRate, engineRate), seed, db.Clock())
-	if fi, ok := db.(backend.FaultInjectable); ok {
-		fi.SetFaultInjector(inj)
-	}
+	db.SetFaultInjector(inj)
 	client := llm.WithInterceptor(llm.NewSimClient(seed), inj)
 
 	opts := tuner.DefaultOptions()

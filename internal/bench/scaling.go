@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/core/tuner"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/llm"
@@ -61,9 +60,7 @@ func ScalingTrial(seed int64, workers int, burn time.Duration) (ScalingRow, erro
 	}
 	defaultTime := db.WorkloadSeconds(w.Queries)
 	if burn > 0 {
-		if hk, ok := db.(backend.Hookable); ok {
-			hk.SetExecHook(func(q *engine.Query, seconds float64) { spin(burn) })
-		}
+		db.SetExecHook(func(q *engine.Query, seconds float64) { spin(burn) })
 	}
 
 	opts := tuner.DefaultOptions()

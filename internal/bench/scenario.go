@@ -72,19 +72,12 @@ func (s Scenario) Label() string {
 // NewDB materializes the scenario's backend and workload: a fresh simulator
 // instance with default settings and, in the initial-index regime, permanent
 // PK/FK indexes.
-func (s Scenario) NewDB() (backend.Backend, *workload.Workload, error) {
+func (s Scenario) NewDB() (*backend.Sim, *workload.Workload, error) {
 	w, err := workload.ByName(s.Benchmark)
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := backend.Open("sim", backend.Spec{
-		Flavor:   s.Flavor,
-		Catalog:  w.Catalog,
-		Hardware: engine.DefaultHardware,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
+	db := backend.NewSim(s.Flavor, w.Catalog, engine.DefaultHardware)
 	if s.InitialIndexes {
 		for _, d := range w.InitialIndexes() {
 			db.CreatePermanentIndex(d)
@@ -204,34 +197,31 @@ func baselineSet(seed int64, paramsOnly bool, trialTimeout float64) []baselines.
 }
 
 // withPlannerFriendlySettings runs fn under index-friendly planner settings
-// when the backend exposes raw settings access, restoring the previous
-// assignment afterwards. Without the SettingsAccessor capability fn runs
-// under the live configuration.
-func withPlannerFriendlySettings(db backend.Backend, fn func() []engine.IndexDef) []engine.IndexDef {
-	sa, ok := db.(backend.SettingsAccessor)
-	if !ok || db.Flavor() != engine.Postgres {
+// on Postgres, restoring the previous assignment afterwards.
+func withPlannerFriendlySettings(db *backend.Sim, fn func() []engine.IndexDef) []engine.IndexDef {
+	if db.Flavor() != engine.Postgres {
 		return fn()
 	}
-	saved := sa.Settings()
-	s := sa.Settings()
+	saved := db.Settings()
+	s := db.Settings()
 	s["random_page_cost"] = 1.1
 	s["effective_cache_size"] = float64(db.Hardware().MemoryBytes * 3 / 4)
-	sa.SetSettings(s)
-	defer sa.SetSettings(saved)
+	db.SetSettings(s)
+	defer db.SetSettings(saved)
 	return fn()
 }
 
 // DexterIndexes returns Dexter's recommendations under index-friendly
 // planner settings, as the harness pre-creates them for parameter-only
 // baselines in scenario 2 (paper §6.2).
-func DexterIndexes(db backend.Backend, queries []*engine.Query) []engine.IndexDef {
+func DexterIndexes(db *backend.Sim, queries []*engine.Query) []engine.IndexDef {
 	return withPlannerFriendlySettings(db, func() []engine.IndexDef {
 		return dexter.New().Recommend(db, queries)
 	})
 }
 
 // DB2Indexes returns the DB2 advisor's recommendations analogously.
-func DB2Indexes(db backend.Backend, queries []*engine.Query) []engine.IndexDef {
+func DB2Indexes(db *backend.Sim, queries []*engine.Query) []engine.IndexDef {
 	return withPlannerFriendlySettings(db, func() []engine.IndexDef {
 		return db2advisor.New().Recommend(db, queries)
 	})

@@ -110,7 +110,7 @@ func (e *Evaluator) startSpan(name string, virt float64, attrs ...obs.Attr) *obs
 // one switch governs every memoization layer.
 func New(db backend.Backend) *Evaluator {
 	e := &Evaluator{DB: db, UseScheduler: true, LazyIndexes: true, Seed: 1}
-	if backend.PlanCacheEnabled(db) {
+	if db.PlanCacheEnabled() {
 		e.Memo = NewMemo()
 	}
 	return e

@@ -2,7 +2,6 @@ package evaluator
 
 import (
 	"context"
-	"log"
 	"sync"
 
 	"lambdatune/internal/backend"
@@ -15,68 +14,29 @@ import (
 // DBMS replicas the paper's EC2 testbed would allow (DESIGN.md §7).
 //
 // Determinism: tasks are assigned statically (task i runs on worker i mod
-// Workers) and every worker processes its tasks sequentially on its own
+// workers) and every worker processes its tasks sequentially on its own
 // snapshot, so per-candidate results are independent of goroutine
-// scheduling. Each ConfigMeta is touched by exactly one worker per round.
+// scheduling. Each ConfigMeta, and each candidate span with its children, is
+// touched by exactly one worker per round, so the trace shape is
+// deterministic too.
 //
 // Clock-merge rule: per-candidate runtimes come from each worker's own
 // virtual clock; the round's elapsed tuning time is the max over workers —
 // replicas run in parallel, so the round is as long as its slowest replica.
-//
-// Degradation: parallel evaluation needs the backend.Snapshotter capability.
-// When the backend cannot clone, Run logs the reason once and falls back to
-// evaluating the round's tasks sequentially on the primary backend.
 type Pool struct {
-	// DB is the primary backend snapshots are taken from. Its clock
-	// advances by each round's merged elapsed time.
-	DB backend.Backend
-	// Workers is the number of concurrent replicas (values < 1 mean 1).
-	Workers int
-	// UseScheduler / LazyIndexes / Seed / Memo configure the per-worker
-	// evaluators, mirroring Evaluator. The memo is shared across workers
-	// (it is concurrency-safe), so one worker's result serves every replica
-	// recomputing the same inputs.
-	UseScheduler bool
-	LazyIndexes  bool
-	Seed         int64
-	Memo         *Memo
-	// Trace/Metrics are handed to the per-worker evaluators so replica work
-	// records under each task's candidate span. Trace-shape determinism
-	// holds because a candidate span and all its children are touched by
-	// exactly the one worker its task is statically assigned to.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
-	// RecordTimes mirrors Evaluator.RecordTimes onto every worker (racing's
-	// surrogate needs per-query observations from replica work too).
-	RecordTimes bool
-	// Owner / Slots mirror Evaluator.Owner and Evaluator.Slots onto every
-	// worker: all of a job's workers lease from the Runtime's shared gate
-	// under the job's name. Wall-clock only — worker count and clock merging
-	// are unchanged at any slot capacity.
-	Owner string
-	Slots *SharedSlots
-	// Logf, when set, receives the pool's degradation notices (default
-	// log.Printf).
-	Logf func(format string, args ...any)
-
-	warnedNoSnapshot bool
+	// ev is the primary evaluator: snapshots are taken from its backend,
+	// whose clock advances by each round's merged elapsed time, and every
+	// worker evaluates with a copy of its settings — including the shared
+	// memo (concurrency-safe, so one worker's result serves every replica
+	// recomputing the same inputs), the tracer, and the job's slot gate.
+	ev      *Evaluator
+	workers int
 }
 
 // NewPool builds a pool that evaluates with e's settings on e's database.
+// Workers below 1 mean 1.
 func NewPool(e *Evaluator, workers int) *Pool {
-	return &Pool{
-		DB:           e.DB,
-		Workers:      workers,
-		UseScheduler: e.UseScheduler,
-		LazyIndexes:  e.LazyIndexes,
-		Seed:         e.Seed,
-		Memo:         e.Memo,
-		Trace:        e.Trace,
-		Metrics:      e.Metrics,
-		RecordTimes:  e.RecordTimes,
-		Owner:        e.Owner,
-		Slots:        e.Slots,
-	}
+	return &Pool{ev: e, workers: workers}
 }
 
 // Task is one candidate evaluation of a round: run Config against the
@@ -100,13 +60,9 @@ type Task struct {
 
 // Run evaluates one round's tasks. It returns the round's elapsed virtual
 // time — the max over workers — after advancing the primary clock by it and
-// folding the snapshots' operation counters back into the primary
-// (backend.Snapshotter). A worker whose Apply fails marks the task's meta
-// incomplete and moves on, exactly as the sequential path does.
-//
-// A backend without the Snapshotter capability is evaluated sequentially on
-// the primary instance instead (logged once via Logf); results are identical,
-// only the round's elapsed time follows the single-instance accounting.
+// folding the snapshots' operation counters back into the primary. A worker
+// whose Apply fails marks the task's meta incomplete and moves on, exactly as
+// the sequential path does.
 //
 // Cancelling ctx stops every worker before its next query execution; Run
 // still merges the partial progress (metas stay resumable) and returns
@@ -115,15 +71,8 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 	if len(tasks) == 0 {
 		return 0, ctx.Err()
 	}
-	sn, ok := p.DB.(backend.Snapshotter)
-	if !ok {
-		if !p.warnedNoSnapshot {
-			p.warnedNoSnapshot = true
-			p.logf("evaluator: backend %T does not support snapshotting; evaluating rounds sequentially on the primary instance", p.DB)
-		}
-		return p.runSequential(ctx, tasks)
-	}
-	workers := p.Workers
+	primary := p.ev.DB
+	workers := p.workers
 	if workers < 1 {
 		workers = 1
 	}
@@ -135,32 +84,24 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 	elapsed := make([]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		snap := sn.Snapshot()
+		snap := primary.Snapshot()
 		snaps[w] = snap
+		// The worker's evaluator copies the primary's settings; its
+		// per-pass state (candidate span, free indexes) starts empty.
+		ev := *p.ev
+		ev.DB, ev.Span, ev.FreeIndexes, ev.freeCreated = snap, nil, nil, nil
 		wg.Add(1)
-		go func(w int, snap backend.Backend) {
+		go func(w int, ev *Evaluator) {
 			defer wg.Done()
-			ev := &Evaluator{
-				DB:           snap,
-				UseScheduler: p.UseScheduler,
-				LazyIndexes:  p.LazyIndexes,
-				Seed:         p.Seed,
-				Memo:         p.Memo,
-				Trace:        p.Trace,
-				Metrics:      p.Metrics,
-				RecordTimes:  p.RecordTimes,
-				Owner:        p.Owner,
-				Slots:        p.Slots,
-			}
-			start := snap.Clock().Now()
+			start := ev.DB.Clock().Now()
 			for i := w; i < len(tasks); i += workers {
 				if ctx.Err() != nil {
 					break
 				}
 				runTask(ctx, ev, tasks[i], w)
 			}
-			elapsed[w] = snap.Clock().Now() - start
-		}(w, snap)
+			elapsed[w] = ev.DB.Clock().Now() - start
+		}(w, &ev)
 	}
 	wg.Wait()
 
@@ -171,36 +112,10 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 		}
 	}
 	for _, snap := range snaps {
-		sn.AbsorbSnapshot(snap)
+		primary.AbsorbSnapshot(snap)
 	}
-	p.DB.Clock().Advance(roundElapsed)
+	primary.Clock().Advance(roundElapsed)
 	return roundElapsed, ctx.Err()
-}
-
-// runSequential is the degraded path for non-Snapshotter backends: the
-// round's tasks run in order on the primary instance, whose clock advances
-// directly; elapsed is the primary clock's delta over the round.
-func (p *Pool) runSequential(ctx context.Context, tasks []Task) (float64, error) {
-	ev := &Evaluator{
-		DB:           p.DB,
-		UseScheduler: p.UseScheduler,
-		LazyIndexes:  p.LazyIndexes,
-		Seed:         p.Seed,
-		Memo:         p.Memo,
-		Trace:        p.Trace,
-		Metrics:      p.Metrics,
-		RecordTimes:  p.RecordTimes,
-		Owner:        p.Owner,
-		Slots:        p.Slots,
-	}
-	start := p.DB.Clock().Now()
-	for _, t := range tasks {
-		if ctx.Err() != nil {
-			break
-		}
-		runTask(ctx, ev, t, 0)
-	}
-	return p.DB.Clock().Now() - start, ctx.Err()
 }
 
 // runTask applies and evaluates one candidate, marking unusable
@@ -230,13 +145,4 @@ func runTask(ctx context.Context, ev *Evaluator, t Task, worker int) {
 	t.Span.SetAttrs(obs.Bool("complete", t.Meta.IsComplete),
 		obs.Float("time", t.Meta.Time), obs.Float("index_time", t.Meta.IndexTime))
 	t.Span.End(clock.Now())
-}
-
-// logf routes degradation notices to Logf or the standard logger.
-func (p *Pool) logf(format string, args ...any) {
-	if p.Logf != nil {
-		p.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }

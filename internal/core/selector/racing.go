@@ -176,8 +176,7 @@ func (s *Selector) runRung(ctx context.Context, survivors []*engine.Config, pref
 }
 
 // runTasksOnPrimary is the sequential rung path: tasks run in order on the
-// primary instance (mirroring evaluator.Pool's degraded path, but under the
-// rung's pre-built candidate spans).
+// primary instance, under the rung's pre-built candidate spans.
 func (s *Selector) runTasksOnPrimary(ctx context.Context, tasks []evaluator.Task) error {
 	clock := s.Eval.DB.Clock()
 	for _, task := range tasks {

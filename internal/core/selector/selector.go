@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/core/evaluator"
 	"lambdatune/internal/core/race"
 	"lambdatune/internal/engine"
@@ -314,7 +313,7 @@ func (s *Selector) Select(ctx context.Context, candidates []*engine.Config) (*en
 // parallelOK reports whether snapshot-parallel evaluation applies: requested
 // and no fault injector pinning the run to the primary clock.
 func (s *Selector) parallelOK() bool {
-	return s.Opts.Parallelism > 1 && !backend.HasFaultInjector(s.Eval.DB)
+	return s.Opts.Parallelism > 1 && !s.Eval.DB.HasFaultInjector()
 }
 
 // selectSequential is the single-instance path: one shared database, one

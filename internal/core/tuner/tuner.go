@@ -199,12 +199,6 @@ type Result struct {
 	Metas map[*engine.Config]*evaluator.ConfigMeta
 	// Faults is the run's resilience telemetry (zero-valued on a clean run).
 	Faults FaultReport
-	// BackendStats carries the backend's per-surface observation telemetry
-	// (call counters, wall/virtual-clock latency histograms) when the run's
-	// backend implements backend.Instrumented — i.e. when it is wrapped with
-	// the instrumented decorator. Nil otherwise. The counters are cumulative
-	// over the backend's lifetime, not per run.
-	BackendStats *backend.Stats
 	// Telemetry condenses the run's trace (span/event totals, per-phase
 	// virtual/wall cost breakdown) and metrics snapshot. Non-nil whenever
 	// Options.Trace or Options.Metrics was set — including on partial
@@ -275,7 +269,7 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	if st := t.Opts.Resume; st != nil {
 		start = st.StartClockSeconds
 	}
-	abortsBefore, ixFailsBefore := backend.QueryAborts(t.DB), backend.IndexFailures(t.DB)
+	abortsBefore, ixFailsBefore := t.DB.QueryAborts(), t.DB.IndexFailures()
 	statsBefore := clientStats(t.Client)
 
 	tr := t.Opts.Trace
@@ -285,11 +279,10 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	obs.Emitf(t.Opts.Progress, start, "run", "tuning run: %d queries, %d samples, parallelism %d",
 		len(queries), t.Opts.Samples, t.Opts.Selector.Parallelism)
 	// finish closes the run on every exit path that has a result — success,
-	// cancellation, exhausted budget — so BackendStats and the Telemetry
-	// summary are populated even on partial results.
+	// cancellation, exhausted budget — so the Telemetry summary is
+	// populated even on partial results.
 	finish := func(res *Result) {
 		res.TuningSeconds = clock.Now() - start
-		t.exportBackendStats(res)
 		t.exportMetrics(res)
 		if res.Best != nil {
 			runSpan.SetAttrs(obs.String("best", res.Best.ID), obs.Float("best_time", res.BestTime))
@@ -464,8 +457,8 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	sel.Span.End(clock.Now())
 	res.Metas = sel.Metas
 	res.Progress = sel.Progress
-	res.Faults.QueryAborts = backend.QueryAborts(t.DB) - abortsBefore
-	res.Faults.IndexFailures = backend.IndexFailures(t.DB) - ixFailsBefore
+	res.Faults.QueryAborts = t.DB.QueryAborts() - abortsBefore
+	res.Faults.IndexFailures = t.DB.IndexFailures() - ixFailsBefore
 	if selErr != nil {
 		// Cancellation or exhausted round budget: hand the partial result
 		// back with the error so telemetry and checkpoints survive.
@@ -511,15 +504,6 @@ func (t *Tuner) fingerprint() runstate.Fingerprint {
 		fp.RaceNoElim = r.DisableElimination
 	}
 	return fp
-}
-
-// exportBackendStats snapshots the backend's observation telemetry onto the
-// result when the backend is instrumented.
-func (t *Tuner) exportBackendStats(res *Result) {
-	if ins, ok := t.DB.(backend.Instrumented); ok {
-		st := ins.BackendStats()
-		res.BackendStats = &st
-	}
 }
 
 // exportMetrics pushes the run-level resilience counters (from the fault

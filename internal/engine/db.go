@@ -179,12 +179,16 @@ func (db *DB) hasIndexOnColumn(table, column string) bool {
 // `column`, the longest key prefix whose trailing columns all appear in
 // `wanted` (nil when no such index exists). Composite indexes whose trailing
 // key columns match further predicates narrow an index scan beyond the
-// leading column.
+// leading column. Equally long prefixes go to the smallest index key, so the
+// choice never depends on map iteration order (snapshots copy the map).
 func (db *DB) indexPrefixMatch(table, column string, wanted map[string]bool) []string {
 	table = strings.ToLower(table)
 	column = strings.ToLower(column)
-	var best []string
-	for _, def := range db.indexes {
+	var (
+		best    []string
+		bestKey string
+	)
+	for key, def := range db.indexes {
 		if lead, _, _ := strings.Cut(def.Columns, "+"); def.Table != table || lead != column {
 			continue
 		}
@@ -196,8 +200,8 @@ func (db *DB) indexPrefixMatch(table, column string, wanted map[string]bool) []s
 			}
 			n++
 		}
-		if n > len(best) {
-			best = cols[:n]
+		if n > len(best) || (n == len(best) && key < bestKey) {
+			best, bestKey = cols[:n], key
 		}
 	}
 	return best

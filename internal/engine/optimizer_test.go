@@ -190,3 +190,34 @@ func TestCompositePrefixRequiresLeadingColumn(t *testing.T) {
 		t.Errorf("non-leading composite column used for index scan: %s", plan)
 	}
 }
+
+func TestCompositePrefixTieBreakIsDeterministic(t *testing.T) {
+	// (f_d2, f_date) and (f_d2, f_val) both match two key columns of the
+	// query, so the planner must break the tie the same way on every DB —
+	// whatever the creation order or the index map's iteration order — by
+	// picking the smaller index key, (f_d2, f_date).
+	q := MustPrepareQuery("q", "SELECT COUNT(*) FROM fact f WHERE f.f_d2 = 7 AND f.f_date > 100 AND f.f_val = 3")
+	byDate, byVal := NewIndexDef("fact", "f_d2", "f_date"), NewIndexDef("fact", "f_d2", "f_val")
+	measure := func(defs ...IndexDef) float64 {
+		db := optTestDB(t)
+		db.SetPlanCache(false)
+		s := db.Settings()
+		s["random_page_cost"] = 1.1
+		db.SetSettings(s)
+		for _, d := range defs {
+			db.CreateIndex(d)
+		}
+		return db.QuerySeconds(q)
+	}
+	want := measure(byDate)
+	for i := 0; i < 200; i++ {
+		defs := []IndexDef{byDate, byVal}
+		if i%2 == 1 {
+			defs[0], defs[1] = byVal, byDate
+		}
+		if got := measure(defs...); got != want {
+			t.Fatalf("DB %d (create %s then %s): QuerySeconds = %v, want %v (the %s prefix)",
+				i, defs[0].Key(), defs[1].Key(), got, want, byDate.Key())
+		}
+	}
+}

@@ -100,8 +100,9 @@ func (g *Gauge) Value() float64 {
 }
 
 // metricBuckets are the histogram upper bounds: one per decade from 1µs to
-// 10,000s (the simulator's plausible per-call latency range), plus +Inf.
-// They mirror the backend stats histograms so the two exports line up.
+// 10,000s (the simulator's plausible per-call latency range), plus +Inf. A
+// sample lands in the first bucket whose bound it does not exceed
+// (Prometheus "le" semantics).
 var metricBuckets = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100, 1e3, 1e4}
 
 // MetricHistogram is a fixed-bucket histogram with atomic buckets; Observe

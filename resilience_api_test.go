@@ -64,6 +64,44 @@ func TestTuneWithFaultPlan(t *testing.T) {
 	}
 }
 
+// TestInstrumentedFaultRunMatchesPlain: the instrumented decorator forwards
+// fault injection untouched — a fault-injected run selects the same
+// configuration, costs the same virtual time and survives the same faults
+// with and without Instrument. Parallelism 4 makes the forwarding of
+// HasFaultInjector observable: a decorator that lost the injector would send
+// the run down the parallel path and change its tuning seconds.
+func TestInstrumentedFaultRunMatchesPlain(t *testing.T) {
+	tune := func(instrument bool) *Result {
+		db, w, err := Benchmark("tpch-1", Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if instrument {
+			db.Instrument()
+		}
+		opts := DefaultOptions()
+		opts.Seed = 2
+		opts.Evaluation.Parallelism = 4
+		opts.Faults = &FaultPlan{LLMRate: 0.3, EngineRate: 0.1, Seed: 2}
+		opts.Resilience = &ResilienceOptions{}
+		res, err := db.Tune(w, NewSimulatedLLM(2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, inst := tune(false), tune(true)
+	if resultKey(inst) != resultKey(plain) {
+		t.Errorf("instrumented run differs:\n%s\nvs plain\n%s", resultKey(inst), resultKey(plain))
+	}
+	if inst.Faults != plain.Faults {
+		t.Errorf("instrumented fault report %+v, plain %+v", inst.Faults, plain.Faults)
+	}
+	if plain.Faults.QueryAborts+plain.Faults.IndexFailures == 0 {
+		t.Fatalf("no engine faults fired at 10%%: %+v", plain.Faults)
+	}
+}
+
 // TestTuneCleanRunReportsNoFaults: without a fault plan the report stays
 // zero-valued.
 func TestTuneCleanRunReportsNoFaults(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lambdatune/internal/backend"
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/core/evaluator"
 	"lambdatune/internal/core/prompt"
 	"lambdatune/internal/core/tuner"
@@ -285,11 +286,7 @@ func (rt *Runtime) Benchmark(name string, dbms DBMS) (*Database, *Workload, erro
 		}
 		rt.templates[key] = tm
 	}
-	jdb := tm.db
-	if sn, ok := tm.db.(backend.Snapshotter); ok {
-		jdb = sn.Snapshot()
-	}
-	return &Database{db: jdb, rt: rt, tkey: key, pristine: true}, tm.w, nil
+	return &Database{db: tm.db.Snapshot(), rt: rt, tkey: key, pristine: true}, tm.w, nil
 }
 
 // defaultWorkloadSeconds returns the workload's runtime under the default
@@ -409,8 +406,8 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 	if opts.Observability.Metrics != nil {
 		// Instrumented databases feed the backend_* surface series and plan
 		// cache gauges into the run's registry.
-		if am, ok := d.db.(interface{ AttachMetrics(*obs.Registry) }); ok {
-			am.AttachMetrics(opts.Observability.Metrics.reg)
+		if ib, ok := d.db.(*instrumented.Backend); ok {
+			ib.AttachMetrics(opts.Observability.Metrics.reg)
 		}
 	}
 	var inner llm.Client = client
@@ -525,9 +522,7 @@ func (rt *Runtime) adoptPlans(d *Database) {
 	if tm == nil {
 		return
 	}
-	if sn, ok := tm.db.(backend.Snapshotter); ok {
-		sn.AbsorbSnapshot(d.db)
-	}
+	tm.db.AbsorbSnapshot(d.db)
 }
 
 // wireFaults installs the fault injector and chaos kill points for one run —
@@ -537,24 +532,21 @@ func (rt *Runtime) adoptPlans(d *Database) {
 // injector from the backend. tr is the run's tracer and resume its loaded
 // checkpoint state (both may be nil).
 func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.State, store *runstate.Store, inner *llm.Client) (func(*runstate.State), func(), error) {
-	fi, ok := d.db.(backend.FaultInjectable)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: Faults require a fault-injectable backend, %T is not", ErrInvalidOptions, d.db)
-	}
+	db := d.db
 	seed := opts.Faults.Seed
 	if seed == 0 {
 		seed = opts.Seed
 	}
 	plan := faults.NewPlan(opts.Faults.LLMRate, opts.Faults.EngineRate)
-	inj := faults.NewInjector(plan, seed, d.db.Clock())
+	inj := faults.NewInjector(plan, seed, db.Clock())
 	inj.SetTracer(tr)
-	fi.SetFaultInjector(inj)
+	db.SetFaultInjector(inj)
 	// The injector wraps the raw client, so the resilience layer (added
 	// by the tuner on top) sees the injected faults as transport errors.
 	*inner = llm.WithInterceptor(*inner, inj)
 	if resume != nil && resume.Injector != nil {
 		if resume.Injector.Seed != seed {
-			fi.SetFaultInjector(nil)
+			db.SetFaultInjector(nil)
 			return nil, nil, fmt.Errorf("%w: fault seed %d differs from checkpoint's %d",
 				runstate.ErrCheckpointMismatch, seed, resume.Injector.Seed)
 		}
@@ -579,5 +571,5 @@ func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.Stat
 		s, draws, counts := inj.Snapshot()
 		st.Injector = &runstate.InjectorState{Seed: s, EngineDraws: draws, Counts: counts}
 	}
-	return decorate, func() { fi.SetFaultInjector(nil) }, nil
+	return decorate, func() { db.SetFaultInjector(nil) }, nil
 }
