@@ -65,8 +65,9 @@ lambdabench-compare:
 	bash lambdabench/run.sh -compare $(BASE) $(HEAD)
 
 ## chaos: the crash-recovery suite under the race detector — kill/resume at
-## every checkpoint boundary, torn-write fallback, daemon drain/re-adopt.
+## every checkpoint boundary, torn-write fallback, daemon drain/re-adopt, and
+## the job journal's torn, corrupt and failed appends.
 chaos:
-	$(GO) test -race -run 'Chaos|KillResume|Checkpoint|Resume|Kill|Torn|Drain|Readopt|Daemon|Panic' \
+	$(GO) test -race -run 'Chaos|KillResume|Checkpoint|Resume|Kill|Torn|Drain|Readopt|Daemon|Panic|Journal' \
 		./internal/runstate/ ./internal/faults/ ./internal/core/tuner/ \
 		./internal/bench/ ./internal/service/ ./cmd/lambdatune/ ./cmd/lambdatuned/ .

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -273,21 +275,41 @@ func TestDaemonDrainLeavesDurableState(t *testing.T) {
 	}
 
 	// Whatever state the race reached, it is on disk for the next boot.
-	data, err := os.ReadFile(filepath.Join(dir, job.ID, "job.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
+	rec := journalRecord(t, dir, job.ID)
 	switch rec.Status {
 	case "succeeded", "interrupted", "queued":
 	default:
 		t.Fatalf("persisted status after drain = %q", rec.Status)
 	}
+}
+
+// journalRecord returns the newest record of job id in the daemon's job
+// journal, <data-dir>/jobs.log, whose lines read
+// "crc32=<8 hex digits> <JSON record>"; a line failing the CRC is skipped.
+func journalRecord(t *testing.T, dataDir, id string) *jobView {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, "jobs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *jobView
+	for _, line := range strings.Split(string(data), "\n") {
+		head, body, _ := strings.Cut(line, " ")
+		hex, framed := strings.CutPrefix(head, "crc32=")
+		sum, err := strconv.ParseUint(hex, 16, 32)
+		var rec jobView
+		if !framed || err != nil || uint32(sum) != crc32.ChecksumIEEE([]byte(body)) ||
+			json.Unmarshal([]byte(body), &rec) != nil {
+			continue
+		}
+		if rec.ID == id {
+			newest = &rec
+		}
+	}
+	if newest == nil {
+		t.Fatalf("the journal holds no record of %s:\n%s", id, data)
+	}
+	return newest
 }
 
 // TestDaemonJSONLogFormat boots the daemon with -log-format json and checks

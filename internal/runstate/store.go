@@ -3,6 +3,7 @@ package runstate
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ const (
 // Store persists a run's checkpoints durably. Save is crash-safe: the new
 // checkpoint is written to a temp file, fsync'd, and atomically renamed over
 // the live one, after the live one was rotated to the previous-generation
-// file. A reader therefore always finds either the new checkpoint or the
+// file. Load therefore always finds either the new checkpoint or the
 // complete old one — never a half-written file under the live name — and
 // even external corruption of the live file (the chaos harness simulates
 // torn writes by truncating it) degrades to the previous generation, which
@@ -75,8 +76,13 @@ func (s *Store) Save(st *State) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("runstate: encode: %w", err)
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return 0, fmt.Errorf("runstate: %w", err)
+	if _, err := os.Stat(s.Dir); err != nil {
+		if err := os.MkdirAll(s.Dir, 0o755); err != nil {
+			return 0, fmt.Errorf("runstate: %w", err)
+		}
+		// The new directory's entry lives in its parent, which must be
+		// fsync'd for the entry to survive a power loss.
+		syncDir(filepath.Dir(s.Dir))
 	}
 	path := s.Path()
 	tmp := path + ".tmp"
@@ -84,8 +90,9 @@ func (s *Store) Save(st *State) (int, error) {
 		return 0, fmt.Errorf("runstate: %w", err)
 	}
 	// Rotate the live checkpoint to the previous generation before renaming
-	// the new one in. If the rotation itself is interrupted, the worst case
-	// is a missing .prev — the live file is still either old or new, whole.
+	// the new one in. A process killed between the two renames leaves no
+	// live file, only the complete .prev (and the new .tmp); Load falls back
+	// to .prev.
 	if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, s.PrevPath()); err != nil {
 			return 0, fmt.Errorf("runstate: rotate: %w", err)
@@ -104,22 +111,34 @@ func (s *Store) Save(st *State) (int, error) {
 	return len(data), nil
 }
 
+// Exists reports whether Load has a generation to read: the live
+// checkpoint or the previous one.
+func (s *Store) Exists() bool {
+	for _, p := range []string{s.Path(), s.PrevPath()} {
+		if _, err := os.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Load reads the latest usable checkpoint: the live file, or — when the live
-// file is corrupt (torn write, truncation, bit flips) — the previous
-// generation. fellBack reports that the fallback was taken. A version
-// mismatch is not fallen back from: an incompatible schema on the live file
-// means the whole directory is suspect.
+// file is corrupt (torn write, truncation, bit flips) or missing (a Save
+// killed between its two renames) — the previous generation. fellBack
+// reports that the fallback was taken. A version mismatch is not fallen back
+// from: an incompatible schema on the live file means the whole directory is
+// suspect.
 func (s *Store) Load() (st *State, fellBack bool, err error) {
 	st, err = LoadFile(s.Path())
 	if err == nil {
 		return st, false, nil
 	}
-	if !errors.Is(err, ErrCheckpointCorrupt) {
+	if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, fs.ErrNotExist) {
 		return nil, false, err
 	}
 	prev, perr := LoadFile(s.PrevPath())
 	if perr != nil {
-		// Surface the live file's corruption, not the fallback's absence.
+		// Surface the live file's corruption or absence, not the fallback's.
 		return nil, false, err
 	}
 	return prev, true, nil
@@ -169,7 +188,8 @@ func syncDir(dir string) {
 }
 
 // WriteFileAtomic durably writes data to path via a temp file and rename —
-// the same discipline Save uses, for sidecar files like job specs.
+// the same discipline Save uses, for sidecar files such as the job
+// service's compacted journal.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := writeFileSync(tmp, data); err != nil {

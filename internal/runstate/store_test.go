@@ -106,6 +106,62 @@ func TestStoreTornWriteFallback(t *testing.T) {
 	}
 }
 
+// TestStoreLoadAfterInterruptedRotation kills a save between its two
+// renames: the live checkpoint was rotated to .prev, the new one still sits
+// in .tmp. Load must fall back to .prev, the last complete generation, and
+// the next save must keep it.
+func TestStoreLoadAfterInterruptedRotation(t *testing.T) {
+	s := NewStore(filepath.Join(t.TempDir(), "job-000001"), "run")
+	if s.Exists() {
+		t.Fatal("Exists() = true before the first save")
+	}
+	st := sampleState()
+	for _, clock := range []float64{1, 2} {
+		st.ClockSeconds = clock
+		if _, err := s.Save(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.ClockSeconds = 3
+	data, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.Path()+".tmp", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(s.Path(), s.PrevPath()); err != nil {
+		t.Fatal(err)
+	}
+
+	if !s.Exists() {
+		t.Fatal("Exists() = false with a complete previous generation on disk")
+	}
+	got, fellBack, err := s.Load()
+	if err != nil {
+		t.Fatalf("load after interrupted rotation: %v", err)
+	}
+	if !fellBack || got.ClockSeconds != 2 {
+		t.Fatalf("load after interrupted rotation: clock %v fellBack=%v, want clock 2 from .prev",
+			got.ClockSeconds, fellBack)
+	}
+	st.ClockSeconds = 4
+	if _, err := s.Save(st); err != nil {
+		t.Fatal(err)
+	}
+	live, err := LoadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := LoadFile(s.PrevPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.ClockSeconds != 4 || prev.ClockSeconds != 2 {
+		t.Errorf("after the next save: live=%v prev=%v, want 4 and 2", live.ClockSeconds, prev.ClockSeconds)
+	}
+}
+
 func TestStoreCorruptLiveNoPrev(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir, "run")

@@ -126,8 +126,9 @@ type JobResult struct {
 	Resumed        bool    `json:"resumed"`
 }
 
-// Job is one tuning job's full record — the unit the service persists
-// (atomically, as job.json in the job's directory) on every transition.
+// Job is one tuning job's full record — the unit the service persists on
+// every transition, as one fsync'd line appended to the job journal,
+// <DataDir>/jobs.log.
 type Job struct {
 	ID     string    `json:"id"`
 	Spec   JobSpec   `json:"spec"`
@@ -152,18 +153,20 @@ type Job struct {
 	trace       *obs.Tracer
 	traceHandle *lambdatune.Trace
 
-	// persistGen numbers record snapshots (under Manager.mu); persistMu and
-	// persistWrote serialize the disk writes happening outside Manager.mu,
-	// newest snapshot wins (see Manager.persistLocked).
+	// persistGen numbers record snapshots (under Manager.mu); persistWrote
+	// is the newest one the journal took (under the journal's mutex), so the
+	// appends happening outside Manager.mu never regress the record (see
+	// Manager.persistLocked).
 	persistGen   uint64
-	persistMu    sync.Mutex
 	persistWrote uint64
 }
 
 // Config configures a Manager. Zero values get production defaults.
 type Config struct {
-	// DataDir is the durable root: one subdirectory per job holding job.json
-	// and the run's checkpoints.
+	// DataDir is the durable root. It holds the job journal, jobs.log, and
+	// one subdirectory per job for the run's checkpoints, created by the
+	// job's first checkpoint. A job directory holding a job.json from an
+	// older build is imported into the journal at Open.
 	DataDir string
 	// Workers bounds concurrently running jobs (default 2).
 	Workers int
@@ -214,6 +217,9 @@ type Manager struct {
 	cfg Config
 	log *slog.Logger
 
+	// journal is the durable job-record log; see journal.go.
+	journal *journal
+
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // insertion order, for listing
@@ -256,7 +262,8 @@ const traceSelfCheckEvery = 16
 // Open creates a Manager on DataDir, re-adopting every job a previous
 // process left behind: terminal jobs are loaded read-only; queued, running,
 // and interrupted jobs are re-queued, resuming from their checkpoint when
-// one exists. Call Close or Drain to stop it.
+// one exists. It rewrites the job journal compacted and keeps it open until
+// a clean Drain. Call Close or Drain to stop it.
 func Open(cfg Config) (*Manager, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -304,38 +311,27 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// scan loads every persisted job from DataDir, returning the unfinished ones
-// a previous process left behind.
+// scan loads every persisted job from DataDir and opens the journal for
+// appends, returning the unfinished jobs a previous process left behind.
 func (m *Manager) scan() ([]*Job, error) {
-	entries, err := os.ReadDir(m.cfg.DataDir)
+	jl, jobs, err := openJournal(m.cfg.DataDir, m.log)
 	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+		return nil, err
 	}
+	m.journal = jl
 	var adopt []*Job
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(m.cfg.DataDir, e.Name(), "job.json"))
-		if err != nil {
-			continue // not a job dir
-		}
-		var job Job
-		if err := json.Unmarshal(data, &job); err != nil {
-			m.log.Warn("readopt: skipping corrupt job record", "dir", e.Name(), "error", err)
-			continue
-		}
+	for _, job := range jobs {
 		job.done = make(chan struct{})
 		if job.Status.Terminal() {
 			close(job.done)
 		}
-		m.jobs[job.ID] = &job
+		m.jobs[job.ID] = job
 		m.order = append(m.order, job.ID)
 		if n := seqOf(job.ID); n > m.seq {
 			m.seq = n
 		}
 		if !job.Status.Terminal() {
-			adopt = append(adopt, &job)
+			adopt = append(adopt, job)
 		}
 	}
 	sort.Strings(m.order)
@@ -612,6 +608,9 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if m.ownRuntime {
 		m.rt.Close()
 	}
+	if err := m.journal.close(); err != nil {
+		m.log.Error("journal close failed", "error", err)
+	}
 	return nil
 }
 
@@ -705,8 +704,8 @@ func (m *Manager) runJob(id string) {
 	tr := job.trace
 	m.mu.Unlock()
 	// Flush before waking waiters: Wait's contract is that a returned
-	// terminal job is already durable, so a process that reads job.json the
-	// instant Wait returns sees the terminal record.
+	// terminal job is already durable, so a process that reads the journal
+	// the instant Wait returns sees the terminal record.
 	flush()
 	close(job.done)
 	m.closeSubs(id)
@@ -774,8 +773,8 @@ func (w *progressWriter) Write(p []byte) (int, error) {
 }
 
 // execute runs the tuning pipeline for one job on the shared runtime,
-// checkpointing into the job's directory and resuming when a checkpoint is
-// already there.
+// checkpointing into the job's directory (created by the first checkpoint)
+// and resuming when a checkpoint is already there.
 func (m *Manager) execute(ctx context.Context, job *Job) error {
 	spec := job.Spec
 	db, w, err := m.rt.Benchmark(spec.Benchmark, spec.flavor())
@@ -802,9 +801,10 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 	if spec.LLMFaultRate > 0 || spec.EngineFaultRate > 0 {
 		opts.Faults = &lambdatune.FaultPlan{LLMRate: spec.LLMFaultRate, EngineRate: spec.EngineFaultRate, Seed: opts.Seed}
 	}
-	// Resume when a previous attempt left a checkpoint behind.
-	ckpt := runstate.NewStore(jobDir, runIDOf(&spec))
-	if _, err := os.Stat(ckpt.Path()); err == nil {
+	// Resume when a previous attempt left a checkpoint behind: the live
+	// generation, or only the previous one when a save was killed between
+	// its two renames.
+	if runstate.NewStore(jobDir, runIDOf(&spec)).Exists() {
 		opts.Durability.Resume = true
 	}
 
@@ -827,37 +827,24 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 }
 
 // persistLocked snapshots the job record under m.mu and returns a closure
-// that writes it to disk. Call the closure after releasing m.mu: the write —
-// a mkdir plus an atomic fsync'd file replace — used to sit inside the
-// manager's one global lock, stalling every Enqueue/Get/List behind each
-// job-state flush. Marshaling stays under the lock (it must see a consistent
-// record); the closures serialize per job on persistMu with newest-snapshot-
-// wins ordering, so concurrent flushes of one job can never regress the
-// on-disk record. Persistence failures are logged, not fatal: the in-memory
-// state stays authoritative for the life of the process.
+// that appends it to the journal and fsyncs. Call the closure after
+// releasing m.mu, so the fsync never stalls Enqueue/Get/List behind the
+// manager's one global lock. Marshaling stays under the lock (it must see a
+// consistent record); the closures serialize on the journal's mutex with
+// newest-snapshot-wins ordering, so concurrent flushes of one job can never
+// regress the on-disk record. Persistence failures are logged, not fatal:
+// the in-memory state stays authoritative for the life of the process.
 func (m *Manager) persistLocked(job *Job) func() {
 	job.persistGen++
 	gen := job.persistGen
-	data, err := json.MarshalIndent(job, "", "  ")
+	data, err := json.Marshal(job)
 	if err != nil {
 		m.log.Error("persist failed", "job_id", job.ID, "error", err)
 		return func() {}
 	}
-	dir := filepath.Join(m.cfg.DataDir, job.ID)
-	id := job.ID
 	return func() {
-		job.persistMu.Lock()
-		defer job.persistMu.Unlock()
-		if gen <= job.persistWrote {
-			return // a newer snapshot already reached the disk
-		}
-		job.persistWrote = gen
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			m.log.Error("persist failed", "job_id", id, "error", err)
-			return
-		}
-		if err := runstate.WriteFileAtomic(filepath.Join(dir, "job.json"), append(data, '\n')); err != nil {
-			m.log.Error("persist failed", "job_id", id, "error", err)
+		if err := m.journal.persist(job, gen, data); err != nil {
+			m.log.Error("persist failed", "job_id", job.ID, "error", err)
 		}
 	}
 }

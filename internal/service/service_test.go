@@ -13,6 +13,7 @@ import (
 
 	"lambdatune"
 	"lambdatune/internal/obs"
+	"lambdatune/internal/runstate"
 )
 
 func testConfig(t *testing.T) Config {
@@ -50,6 +51,21 @@ func waitJob(t *testing.T, m *Manager, id string) *Job {
 	job, err := m.Wait(ctx, id)
 	if err != nil {
 		t.Fatalf("waiting for %s: %v", id, err)
+	}
+	return job
+}
+
+// journalRecord returns the newest record of job id in the journal on disk.
+func journalRecord(t *testing.T, dataDir, id string) *Job {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := decodeJournal(data)
+	job, ok := jobs[id]
+	if !ok {
+		t.Fatalf("the journal holds no record of %s", id)
 	}
 	return job
 }
@@ -106,14 +122,7 @@ func TestEnqueueRunsToSuccess(t *testing.T) {
 	}
 
 	// The job record is durable and readable by the next process.
-	data, err := os.ReadFile(filepath.Join(cfg.DataDir, job.ID, "job.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var persisted Job
-	if err := json.Unmarshal(data, &persisted); err != nil {
-		t.Fatal(err)
-	}
+	persisted := journalRecord(t, cfg.DataDir, job.ID)
 	if persisted.Status != StatusSucceeded || persisted.Result == nil {
 		t.Errorf("persisted record not terminal: status %q, result %+v", persisted.Status, persisted.Result)
 	}
@@ -398,6 +407,50 @@ func TestReadoptResumesFromCheckpoint(t *testing.T) {
 	}
 	if next.ID <= jobID {
 		t.Errorf("new job ID %s does not continue after adopted %s", next.ID, jobID)
+	}
+}
+
+// TestReadoptResumesFromPrevGeneration: the previous process died inside a
+// checkpoint save, between rotating the live file to .prev and renaming the
+// new one in, so only .prev is whole. The re-adopted job must still resume
+// from it instead of paying for its LLM samples again.
+func TestReadoptResumesFromPrevGeneration(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Benchmark: "tpch-1", Seed: 1}
+	jobID := "job-000042"
+	jobDir := filepath.Join(dir, jobID)
+	db, w, err := lambdatune.Benchmark(spec.Benchmark, spec.flavor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lambdatune.DefaultOptions()
+	opts.Seed = spec.seed()
+	opts.Durability.CheckpointDir = jobDir
+	opts.Faults = &lambdatune.FaultPlan{Seed: opts.Seed, CrashAfterRound: 2}
+	if _, err := db.Tune(w, lambdatune.NewSimulatedLLM(opts.Seed), opts); !errors.Is(err, lambdatune.ErrKilled) {
+		t.Fatalf("expected ErrKilled, got %v", err)
+	}
+	ckpt := runstate.NewStore(jobDir, runIDOf(&spec))
+	if err := os.Rename(ckpt.Path(), ckpt.PrevPath()); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir, record(t, &Job{ID: jobID, Spec: spec, Status: StatusRunning}))
+
+	cfg := testConfig(t)
+	cfg.DataDir = dir
+	m := openManager(t, cfg)
+	done := waitJob(t, m, jobID)
+	if done.Status != StatusSucceeded {
+		t.Fatalf("resumed job status = %s (error %q)", done.Status, done.Error)
+	}
+	if !done.Result.Resumed {
+		t.Error("result does not report Resumed — the previous generation was ignored")
+	}
+	want := reference(t, spec)
+	if done.Result.BestScript != want.BestScript || done.Result.BestSeconds != want.BestSeconds ||
+		done.Result.TuningSeconds != want.TuningSeconds {
+		t.Errorf("resumed result differs: got (%v, %v) want (%v, %v)",
+			done.Result.BestSeconds, done.Result.TuningSeconds, want.BestSeconds, want.TuningSeconds)
 	}
 }
 
