@@ -6,6 +6,7 @@ package evaluator
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,37 +118,82 @@ func New(db backend.Backend) *Evaluator {
 }
 
 // QueryIndexMap associates each query with the configuration indexes it
-// could exploit: an index is relevant when its leading column appears in the
-// query's join or filter columns of the indexed table (paper §5.1).
+// could exploit: an index is relevant when its leading column, on the
+// indexed table, is one of the query's join or filter columns (paper §5.1).
+// Each query's indexes come sorted by key, nil when none is relevant. Index
+// keys and lookup strings are computed once per call, not once per (query,
+// index) pair.
 func QueryIndexMap(queries []*engine.Query, cfg *engine.Config) map[*engine.Query][]engine.IndexDef {
 	out := make(map[*engine.Query][]engine.IndexDef, len(queries))
-	cols := map[string]bool{} // reused across queries; cleared per query
+	ci := newConfigIndexes(cfg)
 	for _, q := range queries {
-		out[q] = queryIndexDefs(q, cfg, cols)
+		out[q] = ci.relevant(q)
 	}
 	return out
 }
 
-// queryIndexDefs is the per-query core of QueryIndexMap: the configuration
-// indexes relevant to one query. cols is a caller-provided scratch map,
-// cleared here before use.
-func queryIndexDefs(q *engine.Query, cfg *engine.Config, cols map[string]bool) []engine.IndexDef {
-	clear(cols)
+// configIndexes is a configuration's index list prepared for relevance
+// tests: each index's key, and its positions grouped by the
+// "lower(table).leading column" string a query column must spell.
+// QueryIndexMap and the memo's miss path share it.
+type configIndexes struct {
+	defs   []engine.IndexDef
+	keys   []string
+	byLead map[string][]int // lookup string → ascending positions
+	pos    []int            // scratch: positions of the relevant indexes
+	col    []byte           // scratch: the "table.column" being looked up
+}
+
+func newConfigIndexes(cfg *engine.Config) *configIndexes {
+	ci := &configIndexes{
+		defs:   cfg.Indexes,
+		keys:   make([]string, len(cfg.Indexes)),
+		byLead: make(map[string][]int, len(cfg.Indexes)),
+	}
+	for i, ix := range cfg.Indexes {
+		ci.keys[i] = ix.Key()
+		lead, _, _ := strings.Cut(ix.Columns, "+")
+		lookup := strings.ToLower(ix.Table) + "." + lead
+		ci.byLead[lookup] = append(ci.byLead[lookup], i)
+	}
+	return ci
+}
+
+// add appends to pos the positions of the indexes led by table.column,
+// spelled as the query's analysis spells them.
+func (ci *configIndexes) add(pos []int, table, column string) []int {
+	ci.col = append(append(append(ci.col[:0], table...), '.'), column...)
+	return append(pos, ci.byLead[string(ci.col)]...)
+}
+
+// relevant returns the indexes relevant to q in key order, nil when there
+// are none: those led by either side of a join condition or by a filter
+// column, LIKE filters included. The positions are put back in configuration
+// order, a column the query names twice counting once, and sorted by the
+// precomputed keys with the same sort.Slice as ever, so indexes with equal
+// keys land where they always did.
+func (ci *configIndexes) relevant(q *engine.Query) []engine.IndexDef {
+	pos := ci.pos[:0]
 	for _, j := range q.Analysis.Joins {
-		cols[j.LeftTable+"."+j.LeftColumn] = true
-		cols[j.RightTable+"."+j.RightColumn] = true
+		pos = ci.add(pos, j.LeftTable, j.LeftColumn)
+		pos = ci.add(pos, j.RightTable, j.RightColumn)
 	}
 	for _, f := range q.Analysis.Filters {
-		cols[f.Table+"."+f.Column] = true
+		pos = ci.add(pos, f.Table, f.Column)
 	}
-	var defs []engine.IndexDef
-	for _, ix := range cfg.Indexes {
-		lead := ix.ColumnList()[0]
-		if cols[strings.ToLower(ix.Table)+"."+lead] {
-			defs = append(defs, ix)
-		}
+	ci.pos = pos
+	if len(pos) == 0 {
+		return nil
 	}
-	sort.Slice(defs, func(a, b int) bool { return defs[a].Key() < defs[b].Key() })
+	if len(pos) > 1 {
+		slices.Sort(pos)
+		pos = slices.Compact(pos)
+		sort.Slice(pos, func(a, b int) bool { return ci.keys[pos[a]] < ci.keys[pos[b]] })
+	}
+	defs := make([]engine.IndexDef, len(pos))
+	for i, p := range pos {
+		defs[i] = ci.defs[p]
+	}
 	return defs
 }
 

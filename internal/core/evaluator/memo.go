@@ -53,7 +53,6 @@ type Memo struct {
 	maps map[string]map[string]relevanceEntry // config content key → query name
 	lru  []string                             // config content keys, least-recent first
 	keys map[*engine.Config]string            // config → content key, guarded by mu
-	cols map[string]bool                      // scratch for queryIndexDefs, guarded by mu
 
 	lookups      atomic.Uint64
 	hits         atomic.Uint64
@@ -121,7 +120,7 @@ const memoMaxConfigKeys = 4 * memoMaxConfigs
 
 // NewMemo returns an empty private evaluator memo (single-run semantics).
 func NewMemo() *Memo {
-	return &Memo{s: schedule.NewMemo(), cols: map[string]bool{}}
+	return &Memo{s: schedule.NewMemo()}
 }
 
 // NewSharedMemo returns a memo owned by a shared Runtime namespace: hits may
@@ -281,6 +280,7 @@ func (m *Memo) queryIndexMap(queries []*engine.Query, cfg *engine.Config, owner 
 	}
 	m.touchConfig(key)
 	full := true
+	var ci *configIndexes // prepared on the first miss
 	for _, q := range queries {
 		e, ok := per[q.Name]
 		if ok && (e.q == q || m.shared) {
@@ -292,7 +292,10 @@ func (m *Memo) queryIndexMap(queries []*engine.Query, cfg *engine.Config, owner 
 			continue
 		}
 		full = false
-		defs := queryIndexDefs(q, cfg, m.cols)
+		if ci == nil {
+			ci = newConfigIndexes(cfg)
+		}
+		defs := ci.relevant(q)
 		per[q.Name] = relevanceEntry{q: q, owner: owner, defs: defs}
 		out[q] = defs
 	}

@@ -1,9 +1,10 @@
 package schedule
 
 import (
+	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"lambdatune/internal/engine"
 )
@@ -11,46 +12,68 @@ import (
 // Cluster groups items into at most k clusters by k-means over binary index
 // vectors with Euclidean distance (paper §5.4). Each returned Item merges the
 // member queries and the union of their index sets. Queries with identical
-// index dependencies naturally collapse into one cluster.
+// index dependencies naturally collapse into one cluster. It is an adapter
+// over the k-means core Order runs, on the items' index space.
 func Cluster(items []Item, k int, seed int64) []Item {
 	if len(items) <= k {
 		return items
 	}
-	// Assign each distinct index a vector dimension.
-	dims := map[string]int{}
-	for _, it := range items {
-		keys := make([]string, 0, len(it.Indexes))
-		for key := range it.Indexes {
-			keys = append(keys, key)
+	clusters := kmeans(newIndexSpace(items, nil), len(items), k, seed)
+	out := make([]Item, len(clusters))
+	for c, members := range clusters {
+		merged := Item{Indexes: map[string]engine.IndexDef{}}
+		for _, i := range members {
+			merged.Queries = append(merged.Queries, items[i].Queries...)
+			maps.Copy(merged.Indexes, items[i].Indexes)
 		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			if _, ok := dims[key]; !ok {
-				dims[key] = len(dims)
+		out[c] = merged
+	}
+	return out
+}
+
+// kmeans clusters the n rows of sp into at most k groups and returns each
+// non-empty cluster's members: clusters in cluster order, members in input
+// order. Row i becomes a 0/1 float vector. Its dimensions are the index ids
+// in first-seen order over the rows, ascending inside a row — the order the
+// map-based implementation derived from sorted keys — so every distance,
+// center and random draw is bit-identical to it. Rows with no index at all
+// form one cluster.
+func kmeans(sp indexSpace, n, k int, seed int64) [][]int {
+	dim := make([]int, sp.words*64) // index id → dimension + 1 (0: unseen)
+	d := 0
+	for _, row := range sp.itemBits {
+		for w, b := range row {
+			for ; b != 0; b &= b - 1 {
+				if id := w*64 + bits.TrailingZeros64(b); dim[id] == 0 {
+					d++
+					dim[id] = d
+				}
 			}
 		}
 	}
-	d := len(dims)
 	if d == 0 {
 		// No indexes anywhere: order is irrelevant; one merged cluster.
-		merged := Item{Indexes: map[string]engine.IndexDef{}}
-		for _, it := range items {
-			merged.Queries = append(merged.Queries, it.Queries...)
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
 		}
-		return []Item{merged}
+		return [][]int{all}
 	}
-	vecs := make([][]float64, len(items))
-	for i, it := range items {
-		v := make([]float64, d)
-		for key := range it.Indexes {
-			v[dims[key]] = 1
+	vecs := make([][]float64, n)
+	backing := make([]float64, n*d)
+	for i, row := range sp.itemBits {
+		v := backing[i*d : (i+1)*d : (i+1)*d]
+		for w, b := range row {
+			for ; b != 0; b &= b - 1 {
+				v[dim[w*64+bits.TrailingZeros64(b)]-1] = 1
+			}
 		}
 		vecs[i] = v
 	}
 
 	rng := rand.New(rand.NewSource(seed))
 	centers := kmeansPlusPlusInit(vecs, k, rng)
-	assign := make([]int, len(vecs))
+	assign := make([]int, n)
 	// Per-iteration accumulation buffers, allocated once and zeroed per
 	// iteration instead of re-made inside the 50-iteration loop. Sums are
 	// written back into the centers element-wise (never by slice swap), so
@@ -105,24 +128,21 @@ func Cluster(items []Item, k int, seed int64) []Item {
 		}
 	}
 
-	// Merge members per cluster, preserving input order within clusters.
-	byCluster := make([]Item, 0, k)
+	// Group members per cluster, preserving input order within clusters.
+	members := make([]int, 0, n)
+	clusters := make([][]int, 0, k)
 	for c := 0; c < k; c++ {
-		merged := Item{Indexes: map[string]engine.IndexDef{}}
-		for i, it := range items {
-			if assign[i] != c {
-				continue
-			}
-			merged.Queries = append(merged.Queries, it.Queries...)
-			for key, def := range it.Indexes {
-				merged.Indexes[key] = def
+		start := len(members)
+		for i, a := range assign {
+			if a == c {
+				members = append(members, i)
 			}
 		}
-		if len(merged.Queries) > 0 {
-			byCluster = append(byCluster, merged)
+		if len(members) > start {
+			clusters = append(clusters, members[start:len(members):len(members)])
 		}
 	}
-	return byCluster
+	return clusters
 }
 
 // kmeansPlusPlusInit seeds centers with the k-means++ strategy.

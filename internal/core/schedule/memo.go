@@ -12,9 +12,10 @@ import (
 // Memo caches Order results across evaluation rounds. The selector
 // re-schedules the same (remaining queries, configuration) inputs round
 // after round — every round in which a configuration completes nothing
-// repeats the previous round's DP verbatim — and the DP dominates a tuning
-// run's host CPU time, so memoizing it is the scheduling counterpart of the
-// engine's plan cache.
+// repeats the previous round's schedule verbatim — so memoizing Order is the
+// scheduling counterpart of the engine's plan cache. A hit costs a key build
+// and a probe; a miss runs the clustering and the DP, which on JOB take a
+// few tenths of a millisecond (BenchmarkOrder).
 //
 // The key captures everything Order consumes: the query sequence, each
 // query's relevant index keys, every distinct index's creation cost (the

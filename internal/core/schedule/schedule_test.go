@@ -362,8 +362,9 @@ func kmeansPlusPlusInitReference(vecs [][]float64, k int, rng *rand.Rand) [][]fl
 }
 
 // orderDPInput draws one seeded OrderDP input: 1–13 items over 1–150
-// distinct indexes (1–3 bitset words). A third of the seeds draw costs from
-// {1, 2, 3} to force ties; a quarter give the first item an empty index set
+// distinct indexes (1–3 bitset words). A fifth of the seeds draw costs from
+// {−2, −1, 0, 1}, so the DP's pruning is off; of the rest, a third draw from
+// {1, 2, 3} to force ties. A quarter give the first item an empty index set
 // and the last a copy of another item's.
 func orderDPInput(seed int64) ([]Item, IndexCost) {
 	rng := rand.New(rand.NewSource(seed))
@@ -372,9 +373,12 @@ func orderDPInput(seed int64) ([]Item, IndexCost) {
 	costs := map[string]float64{}
 	for i := range defs {
 		defs[i] = engine.NewIndexDef(fmt.Sprintf("t%d", i%7), fmt.Sprintf("c%d", i))
-		if seed%3 == 0 {
+		switch {
+		case seed%5 == 2:
+			costs[defs[i].Key()] = float64(rng.Intn(4) - 2)
+		case seed%3 == 0:
 			costs[defs[i].Key()] = float64(1 + rng.Intn(3))
-		} else {
+		default:
 			costs[defs[i].Key()] = 10 * rng.ExpFloat64()
 		}
 	}
