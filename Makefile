@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling bench-race bench-runtime bench-obs chaos lambdabench lambdabench-compare
+.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling chaos lambdabench lambdabench-compare
 
 build:
 	$(GO) build ./...
@@ -31,26 +31,14 @@ lambdabench-check:
 ## the lambdabench module's vet and short tests.
 ci: fmt-check verify lambdabench-check
 
-## bench: regenerate every paper table & figure (one iteration each).
+## bench: regenerate every paper table & figure (BenchmarkPaper/<name>, one
+## iteration each).
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 ## scaling: the E13 parallel-evaluation scaling study.
 scaling:
 	$(GO) run ./cmd/benchrunner -exp scaling
-
-## bench-race: the E14 racing-vs-full evaluation study; refreshes BENCH_race.json.
-bench-race:
-	$(GO) run ./cmd/benchrunner -exp race -race-json BENCH_race.json
-
-## bench-runtime: the E15 shared-runtime reuse study; refreshes BENCH_runtime.json.
-bench-runtime:
-	$(GO) run ./cmd/benchrunner -exp runtime -runtime-json BENCH_runtime.json
-
-## bench-obs: the E17 observability-overhead study (telemetry dark vs live on
-## the E16 thousand-job stream); refreshes BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/benchrunner -exp obsoverhead -obs-json BENCH_obs.json
 
 ## lambdabench: the end-to-end benchmark (lambdabench/README.md), every
 ## workload at one seed; each report goes to $(OUT)/<workload>-seed<N>.json.

@@ -1,16 +1,14 @@
 package lambdatune
 
-// One testing.B per table and figure of the paper's evaluation (§6), plus
-// ablation benches for the design choices called out in DESIGN.md. Each
-// bench regenerates its artifact via internal/bench and reports the headline
-// number as a custom metric, so `go test -bench=.` reproduces the paper's
-// results end to end. Run a single artifact with e.g.
-// `go test -bench=BenchmarkTable3 -benchtime=1x`.
+// One sub-benchmark per experiment of the paper's evaluation (§6), plus
+// ablation benches for the design choices called out in DESIGN.md, so
+// `go test -bench=.` reproduces the paper's results end to end. Run a single
+// artifact with e.g. `go test -bench='Paper/table3' -benchtime=1x`.
 
 import (
 	"context"
-	"math"
 	"testing"
+	"time"
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/baselines/udo"
@@ -31,197 +29,23 @@ const benchSeed = 1
 // rate — and so the cache hit rate — grows as the walk converges.
 const udoBenchDeadline = 18000
 
-// BenchmarkTable3 regenerates Table 3 (E1): the scaled cost of the best
-// configuration found by each system across the 14 scenarios. The reported
-// metrics are the per-system averages (paper: λ-Tune 1.41 is the lowest).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner()
-		rows, err := bench.Table3(r, benchSeed, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderTable3(rows))
-			avg := map[string]float64{}
-			cnt := map[string]int{}
-			for _, row := range rows {
-				for _, n := range bench.SystemNames {
-					if !math.IsInf(row.Scaled[n], 1) {
-						avg[n] += row.Scaled[n]
-						cnt[n]++
-					}
+// BenchmarkPaper regenerates every experiment of the evaluation, one
+// sub-benchmark per bench.Experiments entry (BenchmarkPaper/table3, …), and
+// logs its rendered text. TestPaperDigestGolden pins the numbers.
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			p := bench.Params{Seed: benchSeed, Trials: 1, Burn: 500 * time.Microsecond}
+			for i := 0; i < b.N; i++ {
+				_, text, err := e.Run(bench.NewRunner(), p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + text)
 				}
 			}
-			b.ReportMetric(avg["λ-Tune"]/float64(cnt["λ-Tune"]), "λ-Tune-avg")
-			b.ReportMetric(avg["UDO"]/float64(cnt["UDO"]), "UDO-avg")
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4 (E2): configurations evaluated per
-// baseline on Postgres TPC-H (paper shape: UDO ≫ DB-BERT ≈ GPTuner ≫
-// LlamaTune > λ-Tune = 5 > ParamTree = 1).
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner()
-		rows, err := bench.Table4(r, benchSeed, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderTable4(rows))
-			b.ReportMetric(rows[0].Counts["λ-Tune"], "λ-Tune-evals")
-			b.ReportMetric(rows[0].Counts["UDO"], "UDO-evals")
-		}
-	}
-}
-
-// BenchmarkTable5 regenerates Table 5 (E3): the best λ-Tune configuration
-// for TPC-H 1GB on Postgres.
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t5, err := bench.BuildTable5(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderTable5(t5))
-			b.ReportMetric(t5.DefaultSeconds/t5.WorkloadSeconds, "speedup")
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3 (E4): convergence under pure
-// parameter tuning (initial PK/FK indexes available).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner()
-		figs, err := bench.Convergence(r, benchSeed, 1, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderConvergence(figs))
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (E5): convergence when systems may
-// create indexes (no initial indexes).
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner()
-		figs, err := bench.Convergence(r, benchSeed, 1, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderConvergence(figs))
-		}
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 (E6): per-query times, λ-Tune vs the
-// default configuration on TPC-H 1GB / Postgres (paper: gains or equal
-// performance for every query).
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure5(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure5(rows))
-			worst := math.Inf(1)
-			for _, r := range rows {
-				if s := r.Default / r.Tuned; s < worst {
-					worst = s
-				}
-			}
-			b.ReportMetric(worst, "min-per-query-speedup")
-		}
-	}
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (E7): the component ablation on JOB
-// / Postgres (adaptive timeout, query scheduler, workload obfuscation,
-// compressor).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure6(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure6(rows))
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7 (E8): best configuration quality as
-// a function of the compressor token budget, vs the full-SQL prompt.
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure7(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure7(rows))
-		}
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8 (E9): λ-Tune's index recommendations
-// vs Dexter and the DB2 advisor.
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure8(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure8(rows))
-		}
-	}
-}
-
-// BenchmarkOutliers regenerates the §6.3 study (E10): 15 LLM samples for the
-// TPC-H prompt with the worst/best runtime ratio (paper: up to ~5x).
-func BenchmarkOutliers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o, err := bench.Outliers(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderOutliers(o))
-			b.ReportMetric(o.Ratio, "worst/best")
-		}
-	}
-}
-
-// BenchmarkRobustness regenerates the robustness study (E12): λ-Tune under
-// injected LLM and engine faults with the resilience layer enabled. The
-// reported metric is the worst speedup across the fault grid (graceful
-// degradation: it should stay ≥ 1).
-func BenchmarkRobustness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Robustness(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderRobustness(rows))
-			worst := math.Inf(1)
-			for _, r := range rows {
-				if r.Err == "" && r.Speedup < worst {
-					worst = r.Speedup
-				}
-			}
-			b.ReportMetric(worst, "min-speedup")
-		}
+		})
 	}
 }
 

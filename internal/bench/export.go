@@ -23,16 +23,17 @@ func writeCSV(dir, name string, header []string, rows [][]string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
 	if err := w.Write(header); err != nil {
+		f.Close()
 		return err
 	}
+	// WriteAll flushes the header with the rows and reports the flush error.
 	if err := w.WriteAll(rows); err != nil {
+		f.Close()
 		return err
 	}
-	w.Flush()
-	return w.Error()
+	return f.Close()
 }
 
 func f2s(v float64) string {

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strings"
-	"time"
 
 	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/core/selector"
@@ -143,23 +140,4 @@ func RenderRace(s *RaceStudy) string {
 	fmt.Fprintf(&b, "evaluated query-seconds reduction: %.2fx   speedup delta: %.2f%%\n",
 		s.Reduction, 100*s.SpeedupDelta)
 	return b.String()
-}
-
-// ExportRaceJSON writes the study as BENCH_race.json-style machine-readable
-// JSON (the `make bench-race` artifact checked by CI).
-func ExportRaceJSON(path string, s *RaceStudy) error {
-	doc := struct {
-		Description string     `json:"description"`
-		Collected   string     `json:"collected"`
-		Study       *RaceStudy `json:"study"`
-	}{
-		Description: "E14 — evaluation cost of full vs racing (successive-halving) candidate evaluation. Simulated virtual-clock seconds on the deterministic substrate; the racing final pass is exact, so both best times are real measurements. Regenerate with `make bench-race`.",
-		Collected:   time.Now().UTC().Format("2006-01-02"),
-		Study:       s,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -88,36 +88,80 @@ func TestRuntimeGoldenSharedVsStandalone(t *testing.T) {
 	}
 }
 
-// TestRuntimeCrossJobMemoReuse asserts that a second identical job on the
-// same runtime hits the first job's memo entries (cross-job hits > 0) while
-// producing a byte-identical result.
+// TestRuntimeCrossJobMemoReuse asserts that identical jobs on one runtime
+// hit each other's memo entries while producing byte-identical results: a
+// second job after the first, and four jobs at once on a four-slot gate,
+// one tenant each, whose cross-job hit rate must clear one half (E15's bar).
 func TestRuntimeCrossJobMemoReuse(t *testing.T) {
-	rt := NewRuntime(RuntimeOptions{})
-	defer rt.Close()
-	var last *Result
-	for i := 0; i < 2; i++ {
-		db, w, err := rt.Benchmark("tpch-1", Postgres)
+	t.Run("sequential", func(t *testing.T) {
+		rt := NewRuntime(RuntimeOptions{})
+		defer rt.Close()
+		var last *Result
+		for i := 0; i < 2; i++ {
+			db, w, err := rt.Benchmark("tpch-1", Postgres)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := runtimeOpts(1, 2)
+			o.Tenant = fmt.Sprintf("tenant-%d", i)
+			res, err := rt.TuneContext(context.Background(), db, w, NewSimulatedLLM(1), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last != nil && resultKey(res) != resultKey(last) {
+				t.Fatalf("job %d diverged:\n got %s\nwant %s", i, resultKey(res), resultKey(last))
+			}
+			last = res
+		}
+		st := rt.Stats()
+		if st.Jobs != 2 || st.Namespaces != 1 {
+			t.Fatalf("stats: jobs=%d namespaces=%d, want 2/1", st.Jobs, st.Namespaces)
+		}
+		if st.MemoCrossJobHits == 0 {
+			t.Fatalf("expected cross-job memo hits, got stats %+v", st)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		db, w, err := Benchmark("tpch-1", Postgres)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := runtimeOpts(1, 2)
-		o.Tenant = fmt.Sprintf("tenant-%d", i)
-		res, err := rt.TuneContext(context.Background(), db, w, NewSimulatedLLM(1), o)
+		ref, err := db.Tune(w, NewSimulatedLLM(1), runtimeOpts(1, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last != nil && resultKey(res) != resultKey(last) {
-			t.Fatalf("job %d diverged:\n got %s\nwant %s", i, resultKey(res), resultKey(last))
+		rt := NewRuntime(RuntimeOptions{EvalSlots: 4})
+		defer rt.Close()
+		results := make([]*Result, 4)
+		errs := make([]error, len(results))
+		var wg sync.WaitGroup
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				jdb, jw, err := rt.Benchmark("tpch-1", Postgres)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				o := runtimeOpts(1, 2)
+				o.Tenant = fmt.Sprintf("tenant-%d", i)
+				results[i], errs[i] = rt.TuneContext(context.Background(), jdb, jw, NewSimulatedLLM(1), o)
+			}()
 		}
-		last = res
-	}
-	st := rt.Stats()
-	if st.Jobs != 2 || st.Namespaces != 1 {
-		t.Fatalf("stats: jobs=%d namespaces=%d, want 2/1", st.Jobs, st.Namespaces)
-	}
-	if st.MemoCrossJobHits == 0 {
-		t.Fatalf("expected cross-job memo hits, got stats %+v", st)
-	}
+		wg.Wait()
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatalf("job %d: %v", i, errs[i])
+			}
+			if resultKey(res) != resultKey(ref) {
+				t.Errorf("job %d diverged from its isolated run:\n got %s\nwant %s", i, resultKey(res), resultKey(ref))
+			}
+		}
+		if st := rt.Stats(); st.CrossJobHitRate() <= 0.5 {
+			t.Errorf("cross-job hit rate %.3f over %d identical jobs, want > 0.5: %+v", st.CrossJobHitRate(), len(results), st)
+		}
+	})
 }
 
 // TestRuntimeBoundedMemoChurn runs a hot/cold job stream on a runtime whose

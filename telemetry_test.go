@@ -2,8 +2,16 @@ package lambdatune
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+
+	"lambdatune/internal/obs"
 )
 
 // tuneTelemetry runs one tuning run on a fresh tpch-1 copy with full
@@ -123,4 +131,125 @@ func summaryNoWall(s string) string {
 		out = append(out, line)
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestRuntimeTelemetryStream runs a JOB stream of the E16 mix — half the
+// jobs from a hot tenant at weight 4, 30% from four warm tenants, the rest
+// cold singletons — on one shared Runtime with every telemetry sink live: a
+// metrics registry, an Info-level JSON logger and one Trace per job. Four
+// workers share four evaluation slots over a 16-entry memo, so slot waits
+// and evictions are real. Telemetry must stay passive (every result equals
+// its isolated run) and real (every trace is schema-valid and the runtime
+// series accumulate).
+func TestRuntimeTelemetryStream(t *testing.T) {
+	n := 24
+	if testing.Short() {
+		n = 8
+	}
+	type job struct {
+		tenant string
+		seed   int64
+	}
+	hot, warm := n/2, n*3/10
+	var jobs []job
+	for i := 0; i < n; i++ {
+		switch {
+		case i < hot:
+			jobs = append(jobs, job{"hot", 1})
+		case i < hot+warm:
+			w := int64((i - hot) % 4)
+			jobs = append(jobs, job{fmt.Sprintf("warm-%d", w), 2 + w})
+		default:
+			jobs = append(jobs, job{fmt.Sprintf("cold-%d", i), 1000 + int64(i)})
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+
+	isolated := map[int64]string{}
+	for _, j := range jobs {
+		if _, ok := isolated[j.seed]; ok {
+			continue
+		}
+		db, w, err := Benchmark("job", Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := db.Tune(w, NewSimulatedLLM(j.seed), runtimeOpts(j.seed, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		isolated[j.seed] = resultKey(ref)
+	}
+
+	metrics := NewMetrics()
+	rt := NewRuntime(RuntimeOptions{
+		EvalSlots:     4,
+		TenantWeights: map[string]int{"hot": 4},
+		MemoCapacity:  16,
+		Metrics:       metrics,
+		Logger:        slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelInfo})),
+	})
+	defer rt.Close()
+	errs := make([]error, n)
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				errs[i] = runTracedJob(rt, jobs[i].tenant, jobs[i].seed, isolated[jobs[i].seed])
+			}
+		}()
+	}
+	for i := range jobs {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("job %d (tenant %s, seed %d): %v", i, jobs[i].tenant, jobs[i].seed, err)
+		}
+	}
+
+	snap := metrics.Snapshot()
+	if got := snap["runtime_jobs_total"]; got != float64(n) {
+		t.Errorf("runtime_jobs_total = %v, want %d", got, n)
+	}
+	waits := 0
+	for name := range snap {
+		if strings.HasPrefix(name, "slots_queue_wait_seconds_") {
+			waits++
+		}
+	}
+	if waits == 0 {
+		t.Error("no slots_queue_wait_seconds_* series accumulated")
+	}
+	if snap["runtime_memo_evictions_total"] <= 0 {
+		t.Errorf("a 16-entry memo evicted nothing over %d jobs (%d distinct seeds)", n, len(isolated))
+	}
+}
+
+// runTracedJob tunes one traced job on rt and checks it against its isolated
+// result and the span schema.
+func runTracedJob(rt *Runtime, tenant string, seed int64, want string) error {
+	db, w, err := rt.Benchmark("job", Postgres)
+	if err != nil {
+		return err
+	}
+	opts := runtimeOpts(seed, 2)
+	opts.Tenant = tenant
+	opts.Observability.Trace = NewTrace()
+	res, err := rt.TuneContext(context.Background(), db, w, NewSimulatedLLM(seed), opts)
+	if err != nil {
+		return err
+	}
+	if got := resultKey(res); got != want {
+		return fmt.Errorf("diverged from its isolated run:\n got %s\nwant %s", got, want)
+	}
+	if err := obs.ValidateRecords(opts.Observability.Trace.Tracer().Records()); err != nil {
+		return fmt.Errorf("invalid trace: %w", err)
+	}
+	return nil
 }
