@@ -534,9 +534,13 @@ func (d *Database) ClockSeconds() float64 { return d.db.Clock().Now() }
 
 // Instrument wraps the database's backend with the telemetry decorator:
 // from this call on, every ApplyConfig, CreateIndex, RunQuery, and Explain
-// is counted and timed (wall-clock and virtual-clock). Call once, before
-// tuning; instrumenting an already-instrumented database layers a second
-// decorator. BackendReport returns the accumulated numbers.
+// is counted and timed (wall-clock and virtual-clock) into a metrics
+// registry, the decorator's only sink. Call once, before tuning;
+// instrumenting an already-instrumented database layers a second decorator.
+// The decorator starts on a fresh registry; a run with
+// Options.Observability.Metrics set re-points it at that registry before
+// the run's first backend call, and nothing is carried across.
+// BackendReport reads the registry the decorator currently feeds.
 func (d *Database) Instrument() {
 	// The decorator counts every backend call; serving cached timings would
 	// skip those counts, so an instrumented database is never pristine.
@@ -544,16 +548,21 @@ func (d *Database) Instrument() {
 	d.db = instrumented.Wrap(d.db)
 }
 
-// BackendReport returns the per-surface telemetry accumulated since
-// Instrument was called, formatted for humans, or "" when the database is
-// not instrumented.
+// BackendReport renders the per-surface telemetry of the registry the
+// instrumented decorator currently feeds — the one Instrument created, or
+// the Metrics of the latest run that set Options.Observability.Metrics —
+// plus the backend's plan-cache counters, formatted for humans. It returns
+// "" when the database is not instrumented.
 func (d *Database) BackendReport() string {
 	ib, ok := d.db.(*instrumented.Backend)
 	if !ok {
 		return ""
 	}
-	st := ib.BackendStats()
-	return st.String()
+	report := ib.Report()
+	if pc := d.db.PlanCacheStats(); pc.Lookups() > 0 {
+		report += fmt.Sprintf("\n  %-12s %s", "plan_cache", pc)
+	}
+	return report
 }
 
 // SetPlanCache enables or disables the backend's plan-memoization cache

@@ -229,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "faults survived: %s\n", res.Faults)
 	}
 	if *instr {
-		fmt.Fprintf(stdout, "\n%s", db.BackendReport())
+		fmt.Fprintf(stdout, "\n%s\n", db.BackendReport())
 	}
 	if trace != nil {
 		fmt.Fprintf(stdout, "\nphase breakdown:\n%s", trace.SummaryTable())

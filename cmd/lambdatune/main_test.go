@@ -188,3 +188,37 @@ func TestRunMetricsServerShutsDown(t *testing.T) {
 		t.Errorf("metrics banner missing: %s", errb.String())
 	}
 }
+
+// TestRunInstrumentReport pins -instrument's report: one line per
+// observation surface with the calls and errors the tpch-1 run makes at
+// three samples, the plan-cache line, and a trailing newline.
+func TestRunInstrumentReport(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-benchmark", "tpch-1", "-samples", "3", "-instrument"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	text := out.String()
+	_, report, ok := strings.Cut(text, "backend observation surfaces:\n")
+	if !ok {
+		t.Fatalf("no backend report in output:\n%s", text)
+	}
+	lines := strings.Split(strings.TrimSuffix(report, "\n"), "\n")
+	want := []string{
+		"apply_config calls=8      errors=0    wall{mean=",
+		"create_index calls=28     errors=0    wall{mean=",
+		"run_query    calls=38     errors=7    wall{mean=",
+		"explain      calls=22     errors=0    wall{mean=",
+		"plan_cache   hits=34 misses=48 evictions=0 (41.5% hit rate)",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("report has %d lines, want %d:\n%s", len(lines), len(want), report)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], "  "+w) {
+			t.Errorf("report line %d = %q, want prefix %q", i, lines[i], "  "+w)
+		}
+	}
+	if !strings.HasSuffix(text, "\n") {
+		t.Error("output does not end in a newline")
+	}
+}

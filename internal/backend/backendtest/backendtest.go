@@ -15,6 +15,7 @@ import (
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/engine"
+	"lambdatune/internal/obs"
 	"lambdatune/internal/workload"
 )
 
@@ -323,8 +324,13 @@ func testClockMonotonicity(t *testing.T, f Factory) {
 type executionCounter interface{ Executions() int }
 
 // statsReporter is implemented by backends that report per-surface
-// observation statistics (the instrumented decorator).
-type statsReporter interface{ BackendStats() backend.Stats }
+// observation statistics into a metrics registry (the instrumented
+// decorator), as the backend_<surface>_* series.
+type statsReporter interface{ Registry() *obs.Registry }
+
+// surfaceNames are the four observation surfaces as the backend_<surface>_*
+// series name them.
+var surfaceNames = []string{"apply_config", "create_index", "run_query", "explain"}
 
 // testSnapshotIsolation: replicas must be isolated — their clocks,
 // configurations and index sets evolve independently — and AbsorbSnapshot
@@ -386,7 +392,7 @@ func testSnapshotIsolation(t *testing.T, f Factory) {
 // testInstrumentedMonotonicity: when the backend reports per-surface
 // statistics, each observation-surface call must monotonically increase that
 // surface's call counter (and only that surface's), errors must count against
-// the erroring surface, and the virtual-time histogram must absorb exactly the
+// the erroring surface, and the virtual-time series must absorb exactly the
 // time the call charged to the clock.
 func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	b := open(t, f)
@@ -397,41 +403,33 @@ func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	qs := queries(t)
 	q := qs[0]
 
-	surface := func(st backend.Stats, name string) backend.SurfaceStats {
-		for _, sf := range st.Surfaces() {
-			if sf.Name == name {
-				return *sf.S
-			}
-		}
-		t.Fatalf("Stats.Surfaces() is missing %q", name)
-		return backend.SurfaceStats{}
-	}
 	// step runs op and asserts exactly the named surface's counters moved.
 	step := func(name string, wantErr bool, op func()) {
 		t.Helper()
-		before := ins.BackendStats()
+		before := ins.Registry().Snapshot()
 		op()
-		after := ins.BackendStats()
-		for _, sf := range after.Surfaces() {
-			prev := surface(before, sf.Name)
-			if sf.Name == name {
-				if sf.S.Calls != prev.Calls+1 {
-					t.Errorf("%s: calls %d -> %d, want +1", name, prev.Calls, sf.S.Calls)
-				}
-				wantErrs := prev.Errors
-				if wantErr {
-					wantErrs++
-				}
-				if sf.S.Errors != wantErrs {
-					t.Errorf("%s: errors %d -> %d, want %d", name, prev.Errors, sf.S.Errors, wantErrs)
-				}
-				if sf.S.Wall.Count != prev.Wall.Count+1 || sf.S.Virtual.Count != prev.Virtual.Count+1 {
-					t.Errorf("%s: histogram counts did not advance with the call", name)
+		after := ins.Registry().Snapshot()
+		for _, sf := range surfaceNames {
+			p := "backend_" + sf + "_"
+			calls, prev := after[p+"calls_total"], before[p+"calls_total"]
+			if sf != name {
+				if calls != prev {
+					t.Errorf("%s call moved %s's counter: %v -> %v", name, sf, prev, calls)
 				}
 				continue
 			}
-			if sf.S.Calls != prev.Calls {
-				t.Errorf("%s call moved %s's counter: %d -> %d", name, sf.Name, prev.Calls, sf.S.Calls)
+			if calls != prev+1 {
+				t.Errorf("%s: calls %v -> %v, want +1", name, prev, calls)
+			}
+			wantErrs := before[p+"errors_total"]
+			if wantErr {
+				wantErrs++
+			}
+			if got := after[p+"errors_total"]; got != wantErrs {
+				t.Errorf("%s: errors %v -> %v, want %v", name, before[p+"errors_total"], got, wantErrs)
+			}
+			if after[p+"virtual_seconds_count"] != before[p+"virtual_seconds_count"]+1 {
+				t.Errorf("%s: virtual-time histogram count did not advance with the call", name)
 			}
 		}
 	}
@@ -456,14 +454,15 @@ func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	step("create_index", false, func() { charged = b.CreateIndex(def) })
 	step("explain", false, func() { b.Explain(q) })
 
-	// The virtual histogram absorbs exactly what the call charged.
-	st := ins.BackendStats()
-	ci := surface(st, "create_index")
+	// The virtual-time series absorb exactly what the call charged.
+	st := ins.Registry().Snapshot()
 	if got := b.Clock().Now() - c0; !near(got, charged) {
 		t.Errorf("CreateIndex charged %v but the clock moved %v", charged, got)
 	}
-	if !near(ci.Virtual.Sum, charged) {
-		t.Errorf("create_index virtual histogram sum %v, want the charged %v", ci.Virtual.Sum, charged)
+	for _, name := range []string{"backend_create_index_virtual_seconds_total", "backend_create_index_virtual_seconds_sum"} {
+		if !near(st[name], charged) {
+			t.Errorf("%s = %v, want the charged %v", name, st[name], charged)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
-// Package instrumented decorates any backend.Backend with per-surface call
-// counters and latency histograms — one wall-clock and one virtual-clock
-// histogram per observation surface. It exists both as a practical telemetry
-// layer (Database.BackendReport prints the stats) and as proof that the
-// backend seam composes: the decorator is itself a conforming Backend and
-// registers as "instrumented" so it participates in the conformance suite.
+// Package instrumented decorates any backend.Backend with per-surface
+// telemetry: every call to one of the paper's four observation surfaces is
+// counted and timed (wall clock and virtual clock) into an obs.Registry, the
+// decorator's only sink. It exists both as a practical telemetry layer
+// (Database.BackendReport prints the numbers) and as proof that the backend
+// seam composes: the decorator is itself a conforming Backend and registers
+// as "instrumented" so it participates in the conformance suite.
 package instrumented
 
 import (
-	"sync"
+	"fmt"
+	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -26,110 +29,68 @@ func init() {
 	})
 }
 
-// surfaceCollector accumulates one observation surface. Call and error
-// counts are atomics so the hot path is lock-free for the scalar part; the
-// two histograms share one surface-local mutex, so concurrent pool workers
-// contend only when they hit the *same* surface at the same instant (the
-// mutex space is sharded by surface) — never across surfaces, and never on
-// the counters.
-type surfaceCollector struct {
-	calls  atomic.Uint64
-	errors atomic.Uint64
+// surfaceNames are the paper's four observation surfaces, in report order.
+// Each feeds backend_<surface>_{calls,errors,virtual_seconds,wall_seconds}_total
+// counters and a backend_<surface>_virtual_seconds histogram.
+var surfaceNames = [...]string{"apply_config", "create_index", "run_query", "explain"}
 
-	mu      sync.Mutex // guards the two histograms only
-	wall    backend.Histogram
-	virtual backend.Histogram
+// Indexes into surfaceNames.
+const (
+	applyConfig = iota
+	createIndex
+	runQuery
+	explain
+)
 
-	// Registry handles, resolved once by AttachMetrics (nil handles are
-	// no-ops, so an unattached backend pays four nil checks per call).
-	mCalls, mErrors      *obs.Counter
-	mVirtSecs, mWallSecs *obs.Counter
-	mVirtHist            *obs.MetricHistogram
+// surface holds one observation surface's registry handles.
+type surface struct {
+	calls, errors, virtSecs, wallSecs *obs.Counter
+	virtHist                          *obs.MetricHistogram
 }
 
-// observe records one call on the surface.
-func (sc *surfaceCollector) observe(wall, virtual float64, failed bool) {
-	sc.calls.Add(1)
-	if failed {
-		sc.errors.Add(1)
+// sink is the registry a decorator feeds, with every surface's handles
+// resolved once.
+type sink struct {
+	reg      *obs.Registry
+	surfaces [len(surfaceNames)]surface
+}
+
+func newSink(reg *obs.Registry) *sink {
+	s := &sink{reg: reg}
+	for i, name := range surfaceNames {
+		p := "backend_" + name + "_"
+		s.surfaces[i] = surface{
+			calls:    reg.Counter(p + "calls_total"),
+			errors:   reg.Counter(p + "errors_total"),
+			virtSecs: reg.Counter(p + "virtual_seconds_total"),
+			wallSecs: reg.Counter(p + "wall_seconds_total"),
+			virtHist: reg.Histogram(p + "virtual_seconds"),
+		}
 	}
-	sc.mu.Lock()
-	sc.wall.Observe(wall)
-	sc.virtual.Observe(virtual)
-	sc.mu.Unlock()
-
-	sc.mCalls.Inc()
-	if failed {
-		sc.mErrors.Inc()
-	}
-	sc.mVirtSecs.Add(virtual)
-	sc.mWallSecs.Add(wall)
-	sc.mVirtHist.Observe(virtual)
-}
-
-// snapshot copies the surface into a plain SurfaceStats value.
-func (sc *surfaceCollector) snapshot() backend.SurfaceStats {
-	sc.mu.Lock()
-	wall, virtual := sc.wall, sc.virtual
-	sc.mu.Unlock()
-	return backend.SurfaceStats{
-		Calls:   sc.calls.Load(),
-		Errors:  sc.errors.Load(),
-		Wall:    wall,
-		Virtual: virtual,
-	}
-}
-
-// attach binds the surface to its named registry metrics.
-func (sc *surfaceCollector) attach(reg *obs.Registry, surface string) {
-	sc.mCalls = reg.Counter("backend_" + surface + "_calls_total")
-	sc.mErrors = reg.Counter("backend_" + surface + "_errors_total")
-	sc.mVirtSecs = reg.Counter("backend_" + surface + "_virtual_seconds_total")
-	sc.mWallSecs = reg.Counter("backend_" + surface + "_wall_seconds_total")
-	sc.mVirtHist = reg.Histogram("backend_" + surface + "_virtual_seconds")
-}
-
-// collector is the accumulator shared by a backend and all its snapshots, so
-// replica work taken on clones is counted in one place. Surfaces are
-// independent shards; there is no collector-wide lock on the observe path.
-type collector struct {
-	apply, index, query, explain surfaceCollector
-
-	// reg, when non-nil, additionally receives plan-cache gauges at
-	// BackendStats time (the counters live inside the engine, so they are
-	// pulled, not pushed).
-	reg *obs.Registry
-}
-
-// snapshot assembles a consistent-enough Stats value: each surface is
-// internally consistent; surfaces are copied one after another.
-func (c *collector) snapshot() backend.Stats {
-	return backend.Stats{
-		ApplyConfig: c.apply.snapshot(),
-		CreateIndex: c.index.snapshot(),
-		RunQuery:    c.query.snapshot(),
-		Explain:     c.explain.snapshot(),
-	}
+	return s
 }
 
 // Backend wraps an inner backend with observation telemetry. Construct with
-// Wrap; snapshots share the wrapped instance's collector.
+// Wrap; snapshots share the wrapped instance's sink, so replica work is
+// counted in the same registry.
 type Backend struct {
 	inner backend.Backend
-	c     *collector
+	sink  *atomic.Pointer[sink]
 }
 
-// Wrap decorates inner. The returned backend forwards every method; only the
-// four paper surfaces (ApplyConfig, CreateIndex, RunQuery, Explain) are
-// instrumented.
+// Wrap decorates inner, feeding a fresh registry. The returned backend
+// forwards every method; only the four paper surfaces (ApplyConfig,
+// CreateIndex, RunQuery, Explain) are instrumented.
 func Wrap(inner backend.Backend) *Backend {
-	return &Backend{inner: inner, c: &collector{}}
+	b := &Backend{inner: inner, sink: new(atomic.Pointer[sink])}
+	b.sink.Store(newSink(obs.NewRegistry()))
+	return b
 }
 
 // Snapshot clones the inner backend and wraps the clone with this decorator's
-// stats collector, so work done on replicas aggregates with the parent's.
+// sink, so work done on replicas aggregates with the parent's.
 func (b *Backend) Snapshot() backend.Backend {
-	return &Backend{inner: b.inner.Snapshot(), c: b.c}
+	return &Backend{inner: b.inner.Snapshot(), sink: b.sink}
 }
 
 // AbsorbSnapshot folds a replica's counters back into the inner backend.
@@ -140,36 +101,65 @@ func (b *Backend) AbsorbSnapshot(o backend.Backend) {
 	b.inner.AbsorbSnapshot(o)
 }
 
-// AttachMetrics routes every future surface observation into reg as
-// backend_<surface>_{calls,errors,virtual_seconds,wall_seconds}_total
-// counters plus a backend_<surface>_virtual_seconds histogram, and makes
-// BackendStats publish the plan-cache counters as gauges. Attach before the
-// run starts; handles are resolved once, so the per-call cost is four
-// lock-free counter bumps.
+// AttachMetrics re-points the decorator, and every snapshot sharing its
+// sink, at reg: from this call on, surface observations feed reg and Report
+// and Registry read it. A decorator feeds exactly one registry at a time and
+// nothing is copied across, so attach before the run's first surface call.
+// A nil reg is ignored.
 func (b *Backend) AttachMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		b.sink.Store(newSink(reg))
 	}
-	b.c.apply.attach(reg, "apply_config")
-	b.c.index.attach(reg, "create_index")
-	b.c.query.attach(reg, "run_query")
-	b.c.explain.attach(reg, "explain")
-	b.c.reg = reg
 }
 
-// BackendStats returns a consistent snapshot of the accumulated telemetry,
-// shared with all snapshots taken from this backend. The inner backend's
-// plan-memoization counters are folded into Stats.PlanCache and, when a
-// registry is attached, mirrored as backend_plan_cache_* gauges.
-func (b *Backend) BackendStats() backend.Stats {
-	st := b.c.snapshot()
-	st.PlanCache = b.inner.PlanCacheStats()
-	if reg := b.c.reg; reg != nil {
-		reg.Gauge("backend_plan_cache_hits").Set(float64(st.PlanCache.Hits))
-		reg.Gauge("backend_plan_cache_misses").Set(float64(st.PlanCache.Misses))
-		reg.Gauge("backend_plan_cache_evictions").Set(float64(st.PlanCache.Evictions))
+// Registry returns the registry the decorator currently feeds.
+func (b *Backend) Registry() *obs.Registry { return b.sink.Load().reg }
+
+// Report renders the registry the decorator currently feeds, one line per
+// surface: calls, errors, mean wall time, and total and mean virtual time,
+// all derived from the surface's _total counters.
+func (b *Backend) Report() string {
+	sk := b.sink.Load()
+	var sb strings.Builder
+	sb.WriteString("backend observation surfaces:")
+	for i, name := range surfaceNames {
+		s := &sk.surfaces[i]
+		calls, virt := s.calls.Value(), s.virtSecs.Value()
+		n := math.Max(calls, 1) // every sum is 0 while calls is
+		fmt.Fprintf(&sb, "\n  %-12s calls=%-6d errors=%-4d wall{mean=%s} virtual{total=%s mean=%s}",
+			name, uint64(calls), uint64(s.errors.Value()),
+			fmtSeconds(s.wallSecs.Value()/n), fmtSeconds(virt), fmtSeconds(virt/n))
 	}
-	return st
+	return sb.String()
+}
+
+// fmtSeconds renders a duration in seconds with a sensible unit.
+func fmtSeconds(s float64) string {
+	abs := math.Abs(s)
+	switch {
+	case abs == 0:
+		return "0s"
+	case abs < 1e-3:
+		return fmt.Sprintf("%.1fµs", s*1e6)
+	case abs < 1:
+		return fmt.Sprintf("%.1fms", s*1e3)
+	default:
+		return fmt.Sprintf("%.2fs", s)
+	}
+}
+
+// observe records one call on surface i, timed from (start, v0): four
+// lock-free counter bumps and one histogram observation.
+func (b *Backend) observe(i int, start time.Time, v0 float64, failed bool) {
+	wall, virtual := time.Since(start).Seconds(), b.inner.Clock().Now()-v0
+	s := &b.sink.Load().surfaces[i]
+	s.calls.Inc()
+	if failed {
+		s.errors.Inc()
+	}
+	s.virtSecs.Add(virtual)
+	s.wallSecs.Add(wall)
+	s.virtHist.Observe(virtual)
 }
 
 // Plain accessors: forwarded untouched.
@@ -192,7 +182,7 @@ func (b *Backend) Clock() *engine.Clock { return b.inner.Clock() }
 func (b *Backend) ApplyConfig(cfg *engine.Config) error {
 	start, v0 := time.Now(), b.inner.Clock().Now()
 	err := b.inner.ApplyConfig(cfg)
-	b.c.apply.observe(time.Since(start).Seconds(), b.inner.Clock().Now()-v0, err != nil)
+	b.observe(applyConfig, start, v0, err != nil)
 	return err
 }
 
@@ -202,8 +192,7 @@ func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
 	secs := b.inner.CreateIndex(def)
 	// A build that spent time but left no index behind is an injected
 	// failure; count it as a surface error.
-	failed := secs > 0 && !b.inner.HasIndex(def)
-	b.c.index.observe(time.Since(start).Seconds(), b.inner.Clock().Now()-v0, failed)
+	b.observe(createIndex, start, v0, secs > 0 && !b.inner.HasIndex(def))
 	return secs
 }
 
@@ -211,7 +200,7 @@ func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
 func (b *Backend) RunQuery(q *engine.Query, timeout float64) engine.ExecResult {
 	start, v0 := time.Now(), b.inner.Clock().Now()
 	res := b.inner.RunQuery(q, timeout)
-	b.c.query.observe(time.Since(start).Seconds(), b.inner.Clock().Now()-v0, !res.Complete)
+	b.observe(runQuery, start, v0, !res.Complete)
 	return res
 }
 
@@ -219,7 +208,7 @@ func (b *Backend) RunQuery(q *engine.Query, timeout float64) engine.ExecResult {
 func (b *Backend) Explain(q *engine.Query) []engine.JoinCost {
 	start, v0 := time.Now(), b.inner.Clock().Now()
 	out := b.inner.Explain(q)
-	b.c.explain.observe(time.Since(start).Seconds(), b.inner.Clock().Now()-v0, false)
+	b.observe(explain, start, v0, false)
 	return out
 }
 

@@ -92,9 +92,9 @@ func RaceTrial(seed int64, samples int, strategy selector.Strategy) (RaceRow, er
 	if err != nil {
 		return row, err
 	}
-	stats := idb.BackendStats()
-	row.EvaluatedQuerySeconds = stats.RunQuery.Virtual.Sum
-	row.QueryRuns = stats.RunQuery.Calls
+	reg := idb.Registry()
+	row.EvaluatedQuerySeconds = reg.Counter("backend_run_query_virtual_seconds_total").Value()
+	row.QueryRuns = uint64(reg.Counter("backend_run_query_calls_total").Value())
 	if res.Best != nil {
 		row.BestID = res.Best.ID
 	}

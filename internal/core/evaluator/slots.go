@@ -255,10 +255,10 @@ func (s *SharedSlots) release(from string) {
 			s.reg.Gauge("runtime_pool_waiters").Set(float64(waiting))
 			s.reg.Counter("runtime_pool_grants_total").Inc()
 			if s.tenantOf != nil {
-				s.reg.Counter("runtime_pool_tenant_grants_total_" + sanitizeMetric(tenant)).Inc()
+				s.reg.Counter("runtime_pool_tenant_grants_total_" + obs.MetricSuffix(tenant)).Inc()
 			}
-			s.reg.Gauge("slots_occupancy_" + sanitizeMetric(from)).Set(float64(fromHeld))
-			s.reg.Gauge("slots_occupancy_" + sanitizeMetric(tenant)).Set(float64(tenantHeld))
+			s.reg.Gauge("slots_occupancy_" + obs.MetricSuffix(from)).Set(float64(fromHeld))
+			s.reg.Gauge("slots_occupancy_" + obs.MetricSuffix(tenant)).Set(float64(tenantHeld))
 		}
 		if s.log != nil {
 			s.log.Debug("slot granted", "tenant", tenant, "from", from, "waiting", waiting)
@@ -270,7 +270,7 @@ func (s *SharedSlots) release(from string) {
 	s.mu.Unlock()
 	if s.reg != nil {
 		s.reg.Gauge("runtime_pool_slots_in_use").Set(float64(inUse))
-		s.reg.Gauge("slots_occupancy_" + sanitizeMetric(from)).Set(float64(fromHeld))
+		s.reg.Gauge("slots_occupancy_" + obs.MetricSuffix(from)).Set(float64(fromHeld))
 	}
 }
 
@@ -367,22 +367,6 @@ func (s *SharedSlots) waiterCount() int {
 	return s.waiting
 }
 
-// sanitizeMetric maps a tenant name onto a metric-name-safe suffix.
-func sanitizeMetric(name string) string {
-	if name == "" {
-		return "anonymous"
-	}
-	b := []byte(name)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
 // observe publishes one granted lease: wall wait seconds (global and
 // per-tenant), the tenant's slot occupancy, and, when known, the in-use
 // level (inUse < 0 means "transferred, level unchanged").
@@ -393,7 +377,7 @@ func (s *SharedSlots) observe(start time.Time, inUse int, tenant string, held in
 	s.reg.Counter("runtime_pool_leases_total").Inc()
 	wait := time.Since(start).Seconds()
 	s.reg.Histogram("runtime_pool_lease_wait_seconds").Observe(wait)
-	ts := sanitizeMetric(tenant)
+	ts := obs.MetricSuffix(tenant)
 	s.reg.Histogram("slots_queue_wait_seconds_" + ts).Observe(wait)
 	s.reg.Gauge("slots_occupancy_" + ts).Set(float64(held))
 	if inUse >= 0 {

@@ -62,9 +62,11 @@ type Options struct {
 	// annotations only. Tracing is passive — a traced run selects the same
 	// configuration, byte for byte, as an untraced one.
 	Trace *obs.Tracer
-	// Metrics, when set, receives the run's tuner_* counters/gauges and —
-	// when the backend is the instrumented decorator with an attached
-	// registry — the backend_* surface metrics.
+	// Metrics, when set, receives the run's tuner_* counters/gauges and, at
+	// run end, the backend's plan-cache counters as backend_plan_cache_*
+	// gauges. The backend_<surface>_* series come from the instrumented
+	// decorator and land here only when the decorator feeds this registry
+	// (instrumented.Backend.AttachMetrics).
 	Metrics *obs.Registry
 	// Progress, when set, receives live round/candidate/timeout narration
 	// stamped with virtual timestamps (e.g. obs.NewConsoleReporter).
@@ -507,7 +509,8 @@ func (t *Tuner) fingerprint() runstate.Fingerprint {
 }
 
 // exportMetrics pushes the run-level resilience counters (from the fault
-// report deltas) and timing gauges into the registry.
+// report deltas), timing gauges and the backend's plan-cache counters into
+// the registry.
 func (t *Tuner) exportMetrics(res *Result) {
 	reg := t.Opts.Metrics
 	if reg == nil {
@@ -524,6 +527,10 @@ func (t *Tuner) exportMetrics(res *Result) {
 	if res.Best != nil {
 		reg.Gauge("tuner_best_seconds").Set(res.BestTime)
 	}
+	pc := t.DB.PlanCacheStats()
+	reg.Gauge("backend_plan_cache_hits").Set(float64(pc.Hits))
+	reg.Gauge("backend_plan_cache_misses").Set(float64(pc.Misses))
+	reg.Gauge("backend_plan_cache_evictions").Set(float64(pc.Evictions))
 }
 
 // exportTelemetry condenses the trace and metrics registry into the result's

@@ -33,6 +33,15 @@ func PrepareQuery(name, sql string) (*Query, error) {
 	return &Query{Name: name, SQL: sql, Stmt: stmt, Analysis: a, probes: computeProbes(a)}, nil
 }
 
+// WithAnalysis returns a copy of q carrying analysis a, with the index-probe
+// groups derived again from a, so the copy's plan-cache signature follows
+// the tables and columns a names rather than q's.
+func (q *Query) WithAnalysis(a sqlparser.Analysis) *Query {
+	nq := *q
+	nq.Analysis, nq.probes = a, computeProbes(a)
+	return &nq
+}
+
 // computeProbes derives the index-probe groups of an analyzed query: the
 // planner consults the index set only through hasIndexOnColumn and
 // indexPrefixMatch, and every such call uses either a non-LIKE constant

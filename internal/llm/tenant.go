@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
@@ -259,27 +258,9 @@ func (c *tenantClient) run(ctx context.Context, call func(context.Context) (stri
 
 // counter / gauge resolve a per-tenant metric (nil-safe via the registry).
 func (g *TenantGateway) counter(prefix, tenant string) *obs.Counter {
-	return g.opts.Registry.Counter(prefix + MetricTenant(tenant))
+	return g.opts.Registry.Counter(prefix + obs.MetricSuffix(tenant))
 }
 
 func (g *TenantGateway) gauge(prefix, tenant string) *obs.Gauge {
-	return g.opts.Registry.Gauge(prefix + MetricTenant(tenant))
-}
-
-// MetricTenant sanitizes a tenant name into a metric-name suffix: lowercase
-// [a-z0-9_], everything else mapped to '_', empty → "default".
-func MetricTenant(tenant string) string {
-	if tenant == "" {
-		return "default"
-	}
-	var b strings.Builder
-	for _, r := range strings.ToLower(tenant) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
+	return g.opts.Registry.Gauge(prefix + obs.MetricSuffix(tenant))
 }

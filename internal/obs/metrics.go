@@ -149,6 +149,25 @@ func (h *MetricHistogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
+// MetricSuffix maps a name (a tenant, say) onto a metric-name suffix:
+// lowercase [a-z0-9_], every other character mapped to '_', and the empty
+// name to "default".
+func MetricSuffix(name string) string {
+	if name == "" {
+		return "default"
+	}
+	var b strings.Builder
+	for _, r := range strings.ToLower(name) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
 // Counter returns the named counter, creating it on first use. Nil registry
 // returns a nil (no-op) handle.
 func (r *Registry) Counter(name string) *Counter {

@@ -290,6 +290,26 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestMetricSuffix pins the one rule that turns a tenant name into a metric
+// suffix: lowercase [a-z0-9_], everything else '_' (one per character), and
+// "" mapped to "default".
+func TestMetricSuffix(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "default"},
+		{"tenant-3", "tenant_3"},
+		{"hot", "hot"},
+		{"warm_2", "warm_2"},
+		{"Acme-1", "acme_1"},
+		{"a.b c/d", "a_b_c_d"},
+		{"MiXeD42", "mixed42"},
+		{"zürich", "z_rich"},
+	} {
+		if got := MetricSuffix(tc.in); got != tc.want {
+			t.Errorf("MetricSuffix(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 // TestRegistryConcurrent hammers one counter, gauge and histogram from many
 // goroutines; run under -race this also proves the handles are safe.
 func TestRegistryConcurrent(t *testing.T) {

@@ -54,36 +54,58 @@ type Summary struct {
 	Metrics map[string]float64
 }
 
+// phaseTotals accumulates leaf spans into per-phase costs.
+type phaseTotals map[string]*PhaseCost
+
+// add classifies one span and adds its cost to its phase. A span that ends
+// before it starts adds no virtual time (the clamp Records applies on
+// export); a wall interval counts only when it is well-ordered.
+func (pt phaseTotals) add(name string, virtStart, virtEnd float64, wallStartNS, wallEndNS int64) {
+	phase := spanPhase(name)
+	if phase == "" {
+		return
+	}
+	pc := pt[phase]
+	if pc == nil {
+		pc = &PhaseCost{Phase: phase}
+		pt[phase] = pc
+	}
+	pc.Spans++
+	if virtEnd < virtStart {
+		virtEnd = virtStart
+	}
+	pc.VirtSeconds += virtEnd - virtStart
+	if wallEndNS > wallStartNS {
+		// The unsigned difference is exact even where the signed one would
+		// overflow.
+		pc.WallSeconds += float64(uint64(wallEndNS-wallStartNS)) / 1e9
+	}
+}
+
+// sorted returns the phases by descending virtual spend, ties by name.
+func (pt phaseTotals) sorted() []PhaseCost {
+	var out []PhaseCost
+	for _, pc := range pt {
+		out = append(out, *pc)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].VirtSeconds != out[j].VirtSeconds {
+			return out[i].VirtSeconds > out[j].VirtSeconds
+		}
+		return out[i].Phase < out[j].Phase
+	})
+	return out
+}
+
 // Summarize builds a phase breakdown from exported records.
 func Summarize(recs []SpanRecord) Summary {
-	byPhase := map[string]*PhaseCost{}
+	pt := phaseTotals{}
 	s := Summary{Spans: len(recs)}
 	for _, r := range recs {
 		s.Events += len(r.Events)
-		phase := spanPhase(r.Name)
-		if phase == "" {
-			continue
-		}
-		pc := byPhase[phase]
-		if pc == nil {
-			pc = &PhaseCost{Phase: phase}
-			byPhase[phase] = pc
-		}
-		pc.Spans++
-		pc.VirtSeconds += r.VirtEnd - r.VirtStart
-		if r.WallEndNS > r.WallStartNS {
-			pc.WallSeconds += float64(r.WallEndNS-r.WallStartNS) / 1e9
-		}
+		pt.add(r.Name, r.VirtStart, r.VirtEnd, r.WallStartNS, r.WallEndNS)
 	}
-	for _, pc := range byPhase {
-		s.Phases = append(s.Phases, *pc)
-	}
-	sort.Slice(s.Phases, func(i, j int) bool {
-		if s.Phases[i].VirtSeconds != s.Phases[j].VirtSeconds {
-			return s.Phases[i].VirtSeconds > s.Phases[j].VirtSeconds
-		}
-		return s.Phases[i].Phase < s.Phases[j].Phase
-	})
+	s.Phases = pt.sorted()
 	return s
 }
 
@@ -92,14 +114,13 @@ func Summarize(recs []SpanRecord) Summary {
 // tree order and no attribute maps, and a full export per traced run is
 // measurable overhead on a busy daemon (every finished job summarizes its
 // trace for Result.Telemetry). The aggregation is identical to
-// Summarize(t.Records()) — same clamps, same phase buckets.
+// Summarize(t.Records()).
 func (t *Tracer) Summarize() Summary {
 	if t == nil {
 		return Summary{}
 	}
 	views, extras := t.snapshot()
-
-	byPhase := map[string]*PhaseCost{}
+	pt := phaseTotals{}
 	var s Summary
 	for _, ex := range extras {
 		s.Events += len(ex.events)
@@ -113,35 +134,10 @@ func (t *Tracer) Summarize() Summary {
 			virtStart, virtEnd := sp.virtStart, sp.virtEnd
 			wallStartNS, wallEndNS := sp.wallStartNS, sp.wallEndNS
 			sp.mu.Unlock()
-
-			phase := spanPhase(name)
-			if phase == "" {
-				continue
-			}
-			pc := byPhase[phase]
-			if pc == nil {
-				pc = &PhaseCost{Phase: phase}
-				byPhase[phase] = pc
-			}
-			pc.Spans++
-			if virtEnd < virtStart { // same clamp Records applies on export
-				virtEnd = virtStart
-			}
-			pc.VirtSeconds += virtEnd - virtStart
-			if wallEndNS > wallStartNS {
-				pc.WallSeconds += float64(wallEndNS-wallStartNS) / 1e9
-			}
+			pt.add(name, virtStart, virtEnd, wallStartNS, wallEndNS)
 		}
 	}
-	for _, pc := range byPhase {
-		s.Phases = append(s.Phases, *pc)
-	}
-	sort.Slice(s.Phases, func(i, j int) bool {
-		if s.Phases[i].VirtSeconds != s.Phases[j].VirtSeconds {
-			return s.Phases[i].VirtSeconds > s.Phases[j].VirtSeconds
-		}
-		return s.Phases[i].Phase < s.Phases[j].Phase
-	})
+	s.Phases = pt.sorted()
 	return s
 }
 

@@ -169,27 +169,26 @@ func (w *Workload) Obfuscate() *Workload {
 
 	queries := make([]*engine.Query, len(w.Queries))
 	for i, q := range w.Queries {
-		nq := *q
 		an := q.Analysis
-		nq.Analysis.Tables = make([]string, len(an.Tables))
-		for j, t := range an.Tables {
-			nq.Analysis.Tables[j] = tmap[t]
+		na := sqlparser.Analysis{
+			Tables:  make([]string, len(an.Tables)),
+			Joins:   make([]Join, len(an.Joins)),
+			Filters: make([]Filter, len(an.Filters)),
 		}
-		nq.Analysis.Joins = make([]Join, len(an.Joins))
+		for j, t := range an.Tables {
+			na.Tables[j] = tmap[t]
+		}
 		for j, jc := range an.Joins {
-			nq.Analysis.Joins[j] = Join{
+			na.Joins[j] = Join{
 				LeftTable: tmap[jc.LeftTable], LeftColumn: cmap[jc.LeftTable+"."+jc.LeftColumn],
 				RightTable: tmap[jc.RightTable], RightColumn: cmap[jc.RightTable+"."+jc.RightColumn],
 			}.Canonical()
 		}
-		nq.Analysis.Filters = make([]Filter, len(an.Filters))
 		for j, f := range an.Filters {
-			nf := f
-			nf.Table = tmap[f.Table]
-			nf.Column = cmap[f.Table+"."+f.Column]
-			nq.Analysis.Filters[j] = nf
+			f.Table, f.Column = tmap[f.Table], cmap[f.Table+"."+f.Column]
+			na.Filters[j] = f
 		}
-		queries[i] = &nq
+		queries[i] = q.WithAnalysis(na)
 	}
 	return &Workload{Name: w.Name + " (obfuscated)", Catalog: cat, Queries: queries}
 }

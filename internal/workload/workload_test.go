@@ -220,3 +220,48 @@ func TestObfuscatedRuntimesMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestObfuscatedPlanCacheOnEqualsOff: an obfuscated query probes indexes
+// under its renamed columns, so its plan-cache signature must see them.
+// Every query is planned once, then every join column is indexed; each
+// query's seconds must match between the plan cache on and off.
+func TestObfuscatedPlanCacheOnEqualsOff(t *testing.T) {
+	for _, name := range []string{"tpch-1", "tpcds-1", "job"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := w.Obfuscate()
+		for _, fl := range []engine.Flavor{engine.Postgres, engine.MySQL} {
+			seconds := func(cache bool) []float64 {
+				db := engine.NewDB(fl, o.Catalog, engine.DefaultHardware)
+				db.SetPlanCache(cache)
+				for _, q := range o.Queries {
+					db.QuerySeconds(q)
+				}
+				for _, q := range o.Queries {
+					for _, j := range q.Analysis.Joins {
+						db.CreateIndex(engine.NewIndexDef(j.LeftTable, j.LeftColumn))
+						db.CreateIndex(engine.NewIndexDef(j.RightTable, j.RightColumn))
+					}
+				}
+				out := make([]float64, len(o.Queries))
+				for i, q := range o.Queries {
+					out[i] = db.QuerySeconds(q)
+				}
+				return out
+			}
+			on, off := seconds(true), seconds(false)
+			differ := 0
+			for i := range on {
+				if on[i] != off[i] {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%s/%v: %d of %d obfuscated queries read different seconds with the plan cache on and off",
+					name, fl, differ, len(on))
+			}
+		}
+	}
+}

@@ -404,8 +404,8 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 		}
 	}
 	if opts.Observability.Metrics != nil {
-		// Instrumented databases feed the backend_* surface series and plan
-		// cache gauges into the run's registry.
+		// An instrumented database feeds the backend_<surface>_* series into
+		// the run's registry from here on; no surface call precedes this.
 		if ib, ok := d.db.(*instrumented.Backend); ok {
 			ib.AttachMetrics(opts.Observability.Metrics.reg)
 		}

@@ -376,6 +376,30 @@ func TestRuntimeTenantBreakerIsolation(t *testing.T) {
 	}
 }
 
+// TestRuntimeTenantMetricSuffix: the slot gate and the LLM gateway name a
+// tenant's series by one rule (obs.MetricSuffix), so a tenant with upper-case
+// letters lands under the same lowercase suffix on both.
+func TestRuntimeTenantMetricSuffix(t *testing.T) {
+	m := NewMetrics()
+	rt := NewRuntime(RuntimeOptions{EvalSlots: 1, Metrics: m})
+	defer rt.Close()
+	db, w, err := rt.Benchmark("tpch-1", Postgres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := runtimeOpts(1, 1)
+	o.Tenant = "Acme-1"
+	if _, err := rt.Tune(db, w, NewSimulatedLLM(1), o); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	for _, name := range []string{"slots_occupancy_acme_1", "tenant_gateway_calls_total_acme_1"} {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("metric %s missing from the runtime registry", name)
+		}
+	}
+}
+
 // TestRuntimeClosed pins ErrRuntimeClosed on post-Close use.
 func TestRuntimeClosed(t *testing.T) {
 	rt := NewRuntime(RuntimeOptions{})

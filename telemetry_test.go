@@ -75,6 +75,7 @@ func TestTelemetryUnderParallelEvaluation(t *testing.T) {
 	for _, name := range []string{
 		"tuner_rounds_total", "tuner_queries_total", "tuner_index_builds_total",
 		"backend_run_query_calls_total", "backend_apply_config_calls_total",
+		"backend_plan_cache_hits", "backend_plan_cache_misses",
 	} {
 		if snap[name] <= 0 {
 			t.Errorf("metric %s = %v, want > 0", name, snap[name])
