@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling chaos lambdabench lambdabench-compare
+.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling chaos fuzz lambdabench lambdabench-compare
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,16 @@ bench:
 ## scaling: the E13 parallel-evaluation scaling study.
 scaling:
 	$(GO) run ./cmd/benchrunner -exp scaling
+
+## fuzz: run each native fuzz target for $(FUZZTIME); go test ./... only
+## replays their seed corpora. A failing input lands in the package's
+## testdata/fuzz/ and replays from then on.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sqlparser/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/runstate/
+	$(GO) test -run '^$$' -fuzz '^FuzzWeightedSlots$$' -fuzztime $(FUZZTIME) ./internal/core/evaluator/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceSummary$$' -fuzztime $(FUZZTIME) ./internal/obs/
 
 ## lambdabench: the end-to-end benchmark (lambdabench/README.md), every
 ## workload at one seed; each report goes to $(OUT)/<workload>-seed<N>.json.

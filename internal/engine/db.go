@@ -42,7 +42,8 @@ type DB struct {
 	// plancache.go. groupKeys/groupSigs hold the lazily maintained sorted
 	// key lists and interned content signatures per probe group — a
 	// (table, leading column) pair, the granularity at which the planner
-	// consults the index set. Mutations update one group (noteIndexChange)
+	// consults the index set; its probes read groupKeys directly
+	// (groupIndexKeys). Mutations update one group (noteIndexChange)
 	// and bump sigSeq; qsigs memoizes the per-query composition; sigs is the
 	// intern table shared with snapshots; sigScratch is the full rebuild's
 	// reusable key buffer.
@@ -162,49 +163,57 @@ func (db *DB) HasIndex(def IndexDef) bool {
 	return ok
 }
 
-// hasIndexOnColumn reports whether any index has the column as its leading
-// key.
-func (db *DB) hasIndexOnColumn(table, column string) bool {
-	table = strings.ToLower(table)
-	column = strings.ToLower(column)
-	for _, def := range db.indexes {
-		if lead, _, _ := strings.Cut(def.Columns, "+"); def.Table == table && lead == column {
+// groupIndexKeys returns the sorted keys of the indexes in probe group g:
+// those on g's table whose leading key column is g's column. The per-group
+// lists are the plan-cache signature's (plancache.go); they are rebuilt
+// first when dirty, so the probes work with the cache off as well.
+func (db *DB) groupIndexKeys(g string) []string {
+	if db.indexSigDirty {
+		db.rebuildGroupSigs()
+	}
+	return db.groupKeys[g]
+}
+
+// hasIndexOnColumn reports whether any index of probe group g exists, that
+// is, one with g's column as its leading key on g's table.
+func (db *DB) hasIndexOnColumn(g string) bool { return len(db.groupIndexKeys(g)) > 0 }
+
+// indexPrefixMatch returns, among the indexes of probe group g, the longest
+// key prefix whose trailing columns all name one of filters: the winning
+// index's Columns and the prefix length, 0 when g holds no index. Composite
+// indexes whose trailing key columns match further predicates narrow an
+// index scan beyond the leading column. The group's keys come in ascending
+// order and only a strictly longer prefix wins, so equally long prefixes go
+// to the smallest index key and the choice never depends on map iteration
+// order (snapshots copy the map).
+func (db *DB) indexPrefixMatch(g string, filters []scanFilter) (cols string, n int) {
+	for _, key := range db.groupIndexKeys(g) {
+		def := db.indexes[key]
+		m := 1
+		_, rest, more := strings.Cut(def.Columns, "+")
+		for more {
+			var c string
+			c, rest, more = strings.Cut(rest, "+")
+			if !filtersColumn(filters, c) {
+				break
+			}
+			m++
+		}
+		if m > n {
+			cols, n = def.Columns, m
+		}
+	}
+	return cols, n
+}
+
+// filtersColumn reports whether one of filters is on column c.
+func filtersColumn(filters []scanFilter, c string) bool {
+	for _, f := range filters {
+		if f.column == c {
 			return true
 		}
 	}
 	return false
-}
-
-// indexPrefixMatch returns, among indexes on `table` whose leading key is
-// `column`, the longest key prefix whose trailing columns all appear in
-// `wanted` (nil when no such index exists). Composite indexes whose trailing
-// key columns match further predicates narrow an index scan beyond the
-// leading column. Equally long prefixes go to the smallest index key, so the
-// choice never depends on map iteration order (snapshots copy the map).
-func (db *DB) indexPrefixMatch(table, column string, wanted map[string]bool) []string {
-	table = strings.ToLower(table)
-	column = strings.ToLower(column)
-	var (
-		best    []string
-		bestKey string
-	)
-	for key, def := range db.indexes {
-		if lead, _, _ := strings.Cut(def.Columns, "+"); def.Table != table || lead != column {
-			continue
-		}
-		cols := def.ColumnList()
-		n := 1
-		for _, c := range cols[1:] {
-			if !wanted[c] {
-				break
-			}
-			n++
-		}
-		if n > len(best) || (n == len(best) && key < bestKey) {
-			best, bestKey = cols[:n], key
-		}
-	}
-	return best
 }
 
 // Indexes returns all current index definitions, sorted by key.

@@ -368,7 +368,7 @@ func TestIndexCreation(t *testing.T) {
 	if again := db.CreateIndex(def); again != 0 {
 		t.Errorf("recreation not idempotent: %v", again)
 	}
-	if !db.HasIndex(def) || !db.hasIndexOnColumn("fact", "f_d1") {
+	if !db.HasIndex(def) || !db.hasIndexOnColumn(probeGroup("fact", "f_d1")) {
 		t.Error("index not registered")
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 
 	"lambdatune/internal/sqlparser"
 )
@@ -24,52 +25,92 @@ const (
 	maxCacheFrac = 0.95
 )
 
-// planner builds and costs a plan for one query under the current settings
-// and index set. It names a table by its position in q.Analysis.Tables.
-type planner struct {
-	db *DB
-	q  *Query
-	// tables holds the query's tables by position, with per-table filtered
-	// cardinalities.
-	tables []tableInfo
-	// joins resolves q.Analysis.Joins, in order, against tables.
-	joins []joinRef
-	// scratch backs the maps and slices above; see plannerScratch.
-	s *plannerScratch
+// queryShape is the half of a query's plan that reads neither settings nor
+// indexes: the query's tables by position with their filtered
+// cardinalities and the filters an index scan could serve, and the greedy
+// left-deep join order with each step's cardinalities and the condition its
+// operator evaluates. It depends only on the query's analysis and the
+// catalog's statistics, so shapeOf builds it once per (query, catalog) and
+// publishes it on the Query, and every plan then only picks access paths
+// and join operators along it. It is query preparation, not a memoized
+// result, so SetPlanCache leaves it on. Read-only once published.
+type queryShape struct {
+	// catalog is the catalog the shape was built against.
+	catalog *Catalog
+	tables  []shapeTable
+	// start is the position of the table the join order starts from.
+	start int
+	steps []shapeStep
 }
 
-// plannerScratch is a per-DB allocation arena for planning: the maps and
-// slices a single plan() call needs are cleared and reused across calls
-// instead of re-made. One DB plans one query at a time (snapshots get their
-// own arena), so a single arena per instance suffices. Everything here is
-// working state only — nothing in a returned Plan may alias it.
-type plannerScratch struct {
-	p          planner
-	tables     []tableInfo
-	pos        map[string]int // table name → position in tables
-	joins      []joinRef
-	filterKind map[string]sqlparser.FilterKind
-	wanted     map[string]bool
-	joined     []bool
-	conds      []joinRef
-	bestConds  []joinRef
-}
-
-func newPlannerScratch() *plannerScratch {
-	return &plannerScratch{
-		pos:        map[string]int{},
-		filterKind: map[string]sqlparser.FilterKind{},
-		wanted:     map[string]bool{},
-	}
-}
-
-type tableInfo struct {
+// shapeTable is one table of a shape, at its position in Analysis.Tables.
+type shapeTable struct {
 	name  string
 	table *Table
 	// filteredRows after applying constant predicates.
 	filteredRows float64
-	// scan holds the chosen access path.
-	scan PlanStep
+	// filters are the non-LIKE constant filters naming the table, in
+	// analysis order: the predicates a B-tree index scan can serve.
+	filters []scanFilter
+}
+
+// scanFilter is one filter of a shapeTable.
+type scanFilter struct {
+	column string
+	// group is the probe group of (table, column).
+	group string
+	// sel is the filter's selectivity on the table.
+	sel float64
+}
+
+// filterSel returns the selectivity of the table's filter on column c, which
+// the caller knows exists. Analyze keeps one filter per column; should a
+// hand-built analysis hold several, the last one counts.
+func (t *shapeTable) filterSel(c string) float64 {
+	for k := len(t.filters) - 1; k >= 0; k-- {
+		if t.filters[k].column == c {
+			return t.filters[k].sel
+		}
+	}
+	return 1
+}
+
+// shapeStep is one step of a shape's join order.
+type shapeStep struct {
+	// table is the position of the table the step joins in.
+	table int
+	// in and out are the intermediate cardinalities before and after it.
+	in, out float64
+	// join indexes Analysis.Joins with the first condition linking table to
+	// the tables joined before it, the one the step's operator evaluates;
+	// -1 for a cartesian step.
+	join int
+	// group is the probe group of join's column on table's side, where an
+	// index nested-loop join looks for an index.
+	group string
+}
+
+// plannerScratch is a per-DB allocation arena for planning: the map and
+// slices a shape build or a plan needs are cleared and reused across calls
+// instead of re-made. One DB plans one query at a time (snapshots get their
+// own arena), so a single arena per instance suffices. Everything here is
+// working state only — nothing in a shape or a returned Plan may alias it.
+type plannerScratch struct {
+	pos       map[string]int // table name → position in the shape
+	joins     []joinRef
+	joined    []bool
+	conds     []joinRef
+	bestConds []joinRef
+	sels      []float64
+	scans     []PlanStep
+}
+
+// scratchArena returns db's planner arena, making it on first use.
+func (db *DB) scratchArena() *plannerScratch {
+	if db.scratch == nil {
+		db.scratch = &plannerScratch{pos: map[string]int{}}
+	}
+	return db.scratch
 }
 
 // joinRef is one join condition of the query resolved against its tables:
@@ -163,17 +204,55 @@ func (db *DB) ioConcurrencyDiscount() float64 {
 	return d
 }
 
-// plan builds the full plan for q. It resolves the query's tables to
-// positions and its join conditions to (position, distinct count) pairs once,
-// so the join search below compares integers instead of strings.
+// plan builds the full plan for q: an access path for each table of q's
+// shape under the current settings and indexes, one join operator per step
+// of the shape's join order, then the final aggregation.
 func (db *DB) plan(q *Query) *Plan {
-	if db.scratch == nil {
-		db.scratch = newPlannerScratch()
+	sh := db.shapeOf(q)
+	if len(sh.tables) == 0 {
+		return &Plan{}
 	}
-	s := db.scratch
+	scans := db.chooseScans(sh)
+	steps := make([]PlanStep, 1, len(sh.tables)+1)
+	steps[0] = scans[sh.start]
+	// The join conditions are copied out of the query into one array: the
+	// steps are retained in the (possibly cached) Plan and must not alias it.
+	conds := make([]sqlparser.JoinCondition, len(sh.steps))
+	for i, st := range sh.steps {
+		var joinCond *sqlparser.JoinCondition
+		if st.join >= 0 {
+			conds[i] = q.Analysis.Joins[st.join]
+			joinCond = &conds[i]
+		}
+		steps = append(steps, db.joinStep(sh, scans, st, joinCond))
+	}
+	plan := &Plan{Steps: steps}
+	db.addAggregate(q, plan)
+	return plan
+}
+
+// shapeOf returns q's shape for db's catalog, building and publishing it
+// when q holds none for this catalog. Planners on several snapshots may
+// build it at once; their shapes are identical, so any of them may win.
+func (db *DB) shapeOf(q *Query) *queryShape {
+	if sh := q.shape.Load(); sh != nil && sh.catalog == db.catalog {
+		return sh
+	}
+	sh := db.buildShape(q)
+	q.shape.Store(sh)
+	return sh
+}
+
+// buildShape computes q's shape against db's catalog. It resolves the
+// query's tables to positions and its join conditions to (position, distinct
+// count) pairs in the scratch arena, so the join search compares integers
+// instead of strings, and allocates only the slices the shape keeps.
+func (db *DB) buildShape(q *Query) *queryShape {
+	s := db.scratchArena()
+	an := &q.Analysis
+	tables := make([]shapeTable, len(an.Tables))
 	clear(s.pos)
-	tables := s.tables[:0]
-	for i, name := range q.Analysis.Tables {
+	for i, name := range an.Tables {
 		s.pos[name] = i
 		t := db.catalog.Table(name)
 		if t == nil {
@@ -181,9 +260,45 @@ func (db *DB) plan(q *Query) *Plan {
 			// "works" (mirrors a view or tiny side table).
 			t = &Table{Name: name, Rows: 1000, Columns: []Column{{Name: "c", WidthBytes: 8, Distinct: 1000}}}
 		}
-		tables = append(tables, tableInfo{name: name, table: t, filteredRows: float64(t.Rows)})
+		tables[i] = shapeTable{name: name, table: t, filteredRows: float64(t.Rows)}
 	}
-	s.tables = tables
+	// Constant predicates reduce per-table cardinalities. A filter's
+	// selectivity is the same on every position holding its table.
+	sels := s.sels[:0]
+	for _, f := range an.Filters {
+		sel := 1.0
+		if i, ok := s.pos[f.Table]; ok {
+			sel = selectivity(tables[i].table.Column(f.Column), f.Kind)
+			tables[i].filteredRows *= sel
+		}
+		sels = append(sels, sel)
+	}
+	s.sels = sels
+	for i := range tables {
+		if tables[i].filteredRows < 1 {
+			tables[i].filteredRows = 1
+		}
+	}
+	// Each table's index-servable filters, in one backing array.
+	n := 0
+	for i := range tables {
+		for _, f := range an.Filters {
+			if f.Table == tables[i].name && f.Kind != sqlparser.FilterLike {
+				n++
+			}
+		}
+	}
+	filters := make([]scanFilter, 0, n)
+	for i := range tables {
+		ti := &tables[i]
+		from := len(filters)
+		for k, f := range an.Filters {
+			if f.Table == ti.name && f.Kind != sqlparser.FilterLike {
+				filters = append(filters, scanFilter{column: f.Column, group: groupIn(q.probes, f.Table, f.Column), sel: sels[k]})
+			}
+		}
+		ti.filters = filters[from:len(filters):len(filters)]
+	}
 	side := func(table, column string) (int, int64) {
 		i, ok := s.pos[table]
 		if !ok {
@@ -195,52 +310,141 @@ func (db *DB) plan(q *Query) *Plan {
 		return i, 0
 	}
 	joins := s.joins[:0]
-	for i, j := range q.Analysis.Joins {
+	for i, j := range an.Joins {
 		r := joinRef{join: i}
 		r.left, r.leftDistinct = side(j.LeftTable, j.LeftColumn)
 		r.right, r.rightDistinct = side(j.RightTable, j.RightColumn)
 		joins = append(joins, r)
 	}
 	s.joins = joins
-	s.p = planner{db: db, q: q, tables: tables, joins: joins, s: s}
-	p := &s.p
-	p.applyFilters()
-	p.chooseScans()
-	plan := p.orderJoins()
-	p.addAggregate(plan)
-	return plan
+	sh := &queryShape{catalog: db.catalog, tables: tables}
+	s.orderJoins(sh, q)
+	return sh
 }
 
-// applyFilters reduces per-table cardinalities using the query's constant
-// predicates.
-func (p *planner) applyFilters() {
-	for _, f := range p.q.Analysis.Filters {
-		i, ok := p.s.pos[f.Table]
-		if !ok {
-			continue
+// joinsFor returns the join conditions linking table n to any table in
+// joined. The result aliases the scratch conds buffer and is only valid
+// until the next joinsFor call (orderJoins copies the winner aside).
+func (s *plannerScratch) joinsFor(n int, joined []bool) []joinRef {
+	out := s.conds[:0]
+	for _, j := range s.joins {
+		if (j.left == n && j.right >= 0 && joined[j.right]) ||
+			(j.right == n && j.left >= 0 && joined[j.left]) {
+			out = append(out, j)
 		}
-		ti := &p.tables[i]
-		col := ti.table.Column(f.Column)
-		ti.filteredRows *= selectivity(col, f.Kind)
 	}
-	for i := range p.tables {
-		if p.tables[i].filteredRows < 1 {
-			p.tables[i].filteredRows = 1
+	s.conds = out
+	return out
+}
+
+// orderJoins fills in sh's left-deep join sequence greedily: start from the
+// smallest filtered table, repeatedly add the connected table minimizing
+// the estimated join output. It reads the resolved joins in s.joins.
+func (s *plannerScratch) orderJoins(sh *queryShape, q *Query) {
+	tables := sh.tables
+	if len(tables) == 0 {
+		return
+	}
+	// Pick start: smallest filtered cardinality.
+	start := 0
+	for n := 1; n < len(tables); n++ {
+		if tables[n].filteredRows < tables[start].filteredRows {
+			start = n
 		}
+	}
+	sh.start = start
+	if cap(s.joined) < len(tables) {
+		s.joined = make([]bool, len(tables))
+	}
+	joined := s.joined[:len(tables)]
+	clear(joined)
+	joined[start] = true
+	curRows := tables[start].filteredRows
+	sh.steps = make([]shapeStep, 0, len(tables)-1)
+
+	for k := 1; k < len(tables); k++ {
+		best := -1
+		bestRows := math.Inf(1)
+		bestConds := s.bestConds[:0]
+		for n := range tables {
+			if joined[n] {
+				continue
+			}
+			conds := s.joinsFor(n, joined)
+			rows := joinOutRows(tables, curRows, n, conds)
+			// Prefer connected tables strongly over cartesian products.
+			penalty := 1.0
+			if len(conds) == 0 {
+				penalty = 1e12
+			}
+			// The first candidate always qualifies, so a table is chosen
+			// even when every estimate overflows to +Inf.
+			if best < 0 || rows*penalty < bestRows {
+				bestRows = rows * penalty
+				best = n
+				// Copy aside: conds aliases the scratch buffer the next
+				// joinsFor call overwrites.
+				bestConds = append(bestConds[:0], conds...)
+			}
+		}
+		s.bestConds = bestConds
+		st := shapeStep{table: best, in: curRows, out: joinOutRows(tables, curRows, best, bestConds), join: -1}
+		if len(bestConds) > 0 {
+			c := bestConds[0]
+			jc := q.Analysis.Joins[c.join]
+			col := jc.LeftColumn
+			if c.right == best {
+				col = jc.RightColumn
+			}
+			st.join, st.group = c.join, groupIn(q.probes, tables[best].name, col)
+		}
+		sh.steps = append(sh.steps, st)
+		joined[best] = true
+		curRows = st.out
 	}
 }
 
-// chooseScans picks seq vs index scan per table by estimated cost.
-func (p *planner) chooseScans() {
-	db := p.db
+// joinOutRows estimates the cardinality after joining the current
+// intermediate (curRows) with table n over conds, each of which links n to
+// a table already joined.
+func joinOutRows(tables []shapeTable, curRows float64, n int, conds []joinRef) float64 {
+	out := curRows * tables[n].filteredRows
+	for _, c := range conds {
+		// n's column distinct count, raised to the other side's when larger.
+		d, other := c.leftDistinct, c.rightDistinct
+		if c.right == n {
+			d, other = c.rightDistinct, c.leftDistinct
+		}
+		if other > d {
+			d = other
+		}
+		if d < 1 {
+			d = 1
+		}
+		out /= float64(d)
+	}
+	if out < 1 {
+		out = 1
+	}
+	return out
+}
+
+// chooseScans picks seq vs index scan per table of sh by estimated cost. The
+// result, indexed by position, lives in the scratch arena.
+func (db *DB) chooseScans(sh *queryShape) []PlanStep {
+	s := db.scratchArena()
+	if cap(s.scans) < len(sh.tables) {
+		s.scans = make([]PlanStep, len(sh.tables))
+	}
+	scans := s.scans[:len(sh.tables)]
 	e := db.eff
 	optCache := db.optCacheFrac()
 	trueCache := db.cacheFrac()
 	par := db.parallelSpeedup()
 	ioc := db.ioConcurrencyDiscount()
 
-	for i := range p.tables {
-		ti := &p.tables[i]
+	for i := range sh.tables {
+		ti := &sh.tables[i]
 		name, t := ti.name, ti.table
 		pages := float64(t.Pages())
 		rows := float64(t.Rows)
@@ -257,41 +461,25 @@ func (p *planner) chooseScans() {
 		}
 
 		if e.enableIndexScan {
-			// Other filtered columns of this table, for composite-prefix
-			// matching.
-			filterKind := p.s.filterKind
-			clear(filterKind)
-			for _, f := range p.q.Analysis.Filters {
-				if f.Table == name && f.Kind != sqlparser.FilterLike {
-					filterKind[f.Column] = f.Kind
-				}
-			}
-			wanted := p.s.wanted
-			clear(wanted)
-			for c := range filterKind {
-				wanted[c] = true
-			}
-			// The most selective indexed filter drives the index scan.
-			for _, f := range p.q.Analysis.Filters {
-				if f.Table != name {
+			// The most selective indexed filter drives the index scan. B-tree
+			// indexes can't serve %pattern% predicates, so LIKE filters never
+			// appear here.
+			for _, f := range ti.filters {
+				cols, n := db.indexPrefixMatch(f.group, ti.filters)
+				if n == 0 {
 					continue
 				}
-				if f.Kind == sqlparser.FilterLike {
-					continue // B-tree can't serve %pattern% predicates
-				}
-				prefix := db.indexPrefixMatch(name, f.Column, wanted)
-				if len(prefix) == 0 {
-					continue
-				}
-				col := t.Column(f.Column)
-				sel := selectivity(col, f.Kind)
+				sel := f.sel
 				// A composite key narrows the scan by each additional
 				// matched prefix column's selectivity.
-				for _, extra := range prefix[1:] {
-					if extra == f.Column {
+				_, rest, _ := strings.Cut(cols, "+")
+				for k := 1; k < n; k++ {
+					var extra string
+					extra, rest, _ = strings.Cut(rest, "+")
+					if extra == f.column {
 						continue
 					}
-					sel *= selectivity(t.Column(extra), filterKind[extra])
+					sel *= ti.filterSel(extra)
 				}
 				selRows := rows * sel
 				if selRows < 1 {
@@ -315,128 +503,23 @@ func (p *planner) chooseScans() {
 				}
 			}
 		}
-		ti.scan = best
+		scans[i] = best
 	}
+	return scans
 }
 
-// joinsFor returns the join conditions linking table n to any table in
-// joined. The result aliases the scratch conds buffer and is only valid
-// until the next joinsFor call (orderJoins copies the winner aside).
-func (p *planner) joinsFor(n int, joined []bool) []joinRef {
-	out := p.s.conds[:0]
-	for _, j := range p.joins {
-		if (j.left == n && j.right >= 0 && joined[j.right]) ||
-			(j.right == n && j.left >= 0 && joined[j.left]) {
-			out = append(out, j)
-		}
-	}
-	p.s.conds = out
-	return out
-}
-
-// orderJoins builds a left-deep join sequence greedily: start from the
-// smallest filtered table, repeatedly add the connected table minimizing the
-// estimated join output.
-func (p *planner) orderJoins() *Plan {
-	tables := p.tables
-	if len(tables) == 0 {
-		return &Plan{}
-	}
-	// Pick start: smallest filtered cardinality.
-	start := 0
-	for n := 1; n < len(tables); n++ {
-		if tables[n].filteredRows < tables[start].filteredRows {
-			start = n
-		}
-	}
-	if cap(p.s.joined) < len(tables) {
-		p.s.joined = make([]bool, len(tables))
-	}
-	joined := p.s.joined[:len(tables)]
-	clear(joined)
-	joined[start] = true
-	plan := &Plan{Steps: []PlanStep{tables[start].scan}}
-	curRows := tables[start].filteredRows
-
-	for k := 1; k < len(tables); k++ {
-		best := -1
-		bestRows := math.Inf(1)
-		bestConds := p.s.bestConds[:0]
-		for n := range tables {
-			if joined[n] {
-				continue
-			}
-			conds := p.joinsFor(n, joined)
-			rows := p.joinOutRows(curRows, n, conds)
-			// Prefer connected tables strongly over cartesian products.
-			penalty := 1.0
-			if len(conds) == 0 {
-				penalty = 1e12
-			}
-			// The first candidate always qualifies, so a table is chosen
-			// even when every estimate overflows to +Inf.
-			if best < 0 || rows*penalty < bestRows {
-				bestRows = rows * penalty
-				best = n
-				// Copy aside: conds aliases the scratch buffer the next
-				// joinsFor call overwrites.
-				bestConds = append(bestConds[:0], conds...)
-			}
-		}
-		p.s.bestConds = bestConds
-		step := p.joinStep(curRows, best, bestConds)
-		plan.Steps = append(plan.Steps, step)
-		joined[best] = true
-		curRows = step.OutRows
-	}
-	return plan
-}
-
-// joinOutRows estimates the cardinality after joining the current
-// intermediate (curRows) with table n over conds, each of which links n to
-// a table already joined.
-func (p *planner) joinOutRows(curRows float64, n int, conds []joinRef) float64 {
-	out := curRows * p.tables[n].filteredRows
-	for _, c := range conds {
-		// n's column distinct count, raised to the other side's when larger.
-		d, other := c.leftDistinct, c.rightDistinct
-		if c.right == n {
-			d, other = c.rightDistinct, c.leftDistinct
-		}
-		if other > d {
-			d = other
-		}
-		if d < 1 {
-			d = 1
-		}
-		out /= float64(d)
-	}
-	if out < 1 {
-		out = 1
-	}
-	return out
-}
-
-// joinStep builds the cheapest join operator bringing table n into the plan.
-func (p *planner) joinStep(curRows float64, n int, conds []joinRef) PlanStep {
-	db := p.db
+// joinStep builds the cheapest join operator for step st, which brings
+// table st.table into the plan over joinCond (nil for a cartesian step).
+func (db *DB) joinStep(sh *queryShape, scans []PlanStep, st shapeStep, joinCond *sqlparser.JoinCondition) PlanStep {
 	e := db.eff
-	inner := &p.tables[n]
+	inner := &sh.tables[st.table]
 	name := inner.name
-	outRows := p.joinOutRows(curRows, n, conds)
+	curRows, outRows := st.in, st.out
 	trueCache := db.cacheFrac()
 	par := db.parallelSpeedup()
 
-	var joinCond *sqlparser.JoinCondition
-	if len(conds) > 0 {
-		// Copy the condition out of the query: the returned step is
-		// retained in the (possibly cached) Plan and must not alias it.
-		jc := p.q.Analysis.Joins[conds[0].join]
-		joinCond = &jc
-	}
-
 	// Option 1: hash join — scan inner, build hash table, probe with outer.
-	scan := inner.scan
+	scan := scans[st.table]
 	buildRows := inner.filteredRows
 	buildBytes := buildRows * 24 // hashed key + pointer
 	passes := 1.0
@@ -463,11 +546,7 @@ func (p *planner) joinStep(curRows float64, n int, conds []joinRef) PlanStep {
 	// Option 2: index nested-loop — for each outer row, probe inner's index
 	// on the join column.
 	if e.enableNestLoop && e.enableIndexScan && joinCond != nil {
-		innerCol := joinCond.LeftColumn
-		if conds[0].right == n {
-			innerCol = joinCond.RightColumn
-		}
-		if db.hasIndexOnColumn(name, innerCol) {
+		if db.hasIndexOnColumn(st.group) {
 			innerRows := float64(inner.table.Rows)
 			height := math.Log2(innerRows + 2)
 			matchRows := outRows / math.Max(curRows, 1)
@@ -534,25 +613,24 @@ func (w sortWork) truth() float64 {
 	return w.cpuOps*trueCPUOperator + w.spillPages*trueSeqPage
 }
 
-// addAggregate appends the final aggregation/sort step.
-func (p *planner) addAggregate(plan *Plan) {
+// addAggregate appends q's final aggregation/sort step.
+func (db *DB) addAggregate(q *Query, plan *Plan) {
 	if len(plan.Steps) == 0 {
 		return
 	}
-	db := p.db
 	e := db.eff
 	rows := plan.Steps[len(plan.Steps)-1].OutRows
 	work := rows * 2
-	if n := len(p.q.Stmt.GroupBy); n > 0 {
+	if n := len(q.Stmt.GroupBy); n > 0 {
 		work += rows * float64(n)
 	}
-	if n := len(p.q.Stmt.OrderBy); n > 0 && rows > 1 {
+	if n := len(q.Stmt.OrderBy); n > 0 && rows > 1 {
 		work += rows * math.Log2(rows+2)
 	}
 	// Sorting beyond work_mem spills to disk.
 	sortBytes := rows * 32
 	spill := 0.0
-	if e.workMemBytes > 0 && sortBytes > float64(e.workMemBytes) && len(p.q.Stmt.OrderBy) > 0 {
+	if e.workMemBytes > 0 && sortBytes > float64(e.workMemBytes) && len(q.Stmt.OrderBy) > 0 {
 		spill = sortBytes * 2 / 8192
 	}
 	est := work*e.cpuOperatorCost + spill*e.seqPageCost

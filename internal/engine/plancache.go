@@ -27,13 +27,16 @@ import (
 //     interned to compact ids — see sigIntern), not a bare mutation counter:
 //     selector rounds drop and re-create the same index sets over and over,
 //     and a counter would miss on every round. The signature is further
-//     restricted to the query's probe groups — the planner consults
-//     db.indexes only through hasIndexOnColumn/indexPrefixMatch, always
-//     keyed by a (table, leading column) pair derivable from the query's
+//     restricted to the query's probe groups — the planner consults the
+//     index set only through hasIndexOnColumn/indexPrefixMatch, which read
+//     one group's sorted key list (groupKeys, below), and every group it
+//     reads is a (table, leading column) pair derivable from the query's
 //     filters and joins (Query.probes) — so creating or dropping an index
 //     the query never probes (UDO toggles candidate indexes constantly)
-//     does not invalidate the query's entry. Group signatures are
-//     maintained incrementally per mutation (noteIndexChange).
+//     does not invalidate the query's entry. Group key lists and
+//     signatures are maintained incrementally per mutation
+//     (noteIndexChange), and rebuilt before the next probe or lookup after
+//     a snapshot or while the cache is off.
 //   - the *Query pointer identifies the query. Queries are parsed once per
 //     workload and never mutated afterwards.
 //

@@ -17,15 +17,45 @@ type JoinCondition struct {
 // Canonical returns the condition with sides ordered deterministically
 // (lexicographic by table.column), so A=B and B=A compare equal.
 func (j JoinCondition) Canonical() JoinCondition {
-	l := j.LeftTable + "." + j.LeftColumn
-	r := j.RightTable + "." + j.RightColumn
-	if l <= r {
+	if dottedCompare(j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn) <= 0 {
 		return j
 	}
 	return JoinCondition{
 		LeftTable: j.RightTable, LeftColumn: j.RightColumn,
 		RightTable: j.LeftTable, RightColumn: j.LeftColumn,
 	}
+}
+
+// dottedCompare compares a1+"."+a2 with b1+"."+b2 byte by byte, as
+// strings.Compare would, without building either string.
+func dottedCompare(a1, a2, b1, b2 string) int {
+	na, nb := len(a1)+1+len(a2), len(b1)+1+len(b2)
+	for i := 0; i < na && i < nb; i++ {
+		if ca, cb := dottedByte(a1, a2, i), dottedByte(b1, b2, i); ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case na < nb:
+		return -1
+	case na > nb:
+		return 1
+	}
+	return 0
+}
+
+// dottedByte returns byte i of s1+"."+s2.
+func dottedByte(s1, s2 string, i int) byte {
+	switch {
+	case i < len(s1):
+		return s1[i]
+	case i == len(s1):
+		return '.'
+	}
+	return s2[i-len(s1)-1]
 }
 
 // String renders "table.col = table.col".
@@ -287,24 +317,28 @@ func (a *analyzer) resolveCol(c *ColumnRef, scope *scopeInfo) (table, column str
 	col := strings.ToLower(c.Column)
 	if c.Qualifier != "" {
 		q := strings.ToLower(c.Qualifier)
-		if cu, ok := scope.derived[q+"."+col]; ok {
-			return cu.Table, cu.Column, true
+		if len(scope.derived) > 0 {
+			if cu, ok := scope.derived[q+"."+col]; ok {
+				return cu.Table, cu.Column, true
+			}
 		}
 		t, ok := scope.tables[q]
 		return t, col, ok
 	}
 	// Unqualified columns: attributable only when a single table is in
-	// scope. Benchmarks qualify all shared columns, so this is rare.
-	uniq := map[string]bool{}
+	// scope, that is, when every entry names the same table. Benchmarks
+	// qualify all shared columns, so this is rare.
+	only, found := "", false
 	for _, t := range scope.tables {
-		uniq[t] = true
-	}
-	if len(uniq) == 1 {
-		for t := range uniq {
-			return t, col, true
+		if found && t != only {
+			return "", "", false
 		}
+		only, found = t, true
 	}
-	return "", "", false
+	if !found {
+		return "", "", false
+	}
+	return only, col, true
 }
 
 func (a *analyzer) expr(e Expr, scope *scopeInfo) {

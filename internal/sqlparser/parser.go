@@ -4,15 +4,47 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
+
+// maxDepth bounds how deeply a statement nests. Each subquery, each
+// expression (a select item or predicate, a parenthesised expression, a
+// function argument, a CASE arm, an IN list entry), each NOT or unary minus,
+// and each operator or predicate chained onto an expression adds a level,
+// since each deepens the AST by one. The parser and every walk over the AST
+// recurse once per level, and running out of goroutine stack is a fatal
+// error that no recover can catch, so a deeper statement is a parse error.
+// The built-in queries stay below 40 levels.
+const maxDepth = 1000
+
+// maxPooledTokens caps the token buffers tokenPool keeps, so one huge input
+// does not pin its buffer for the life of the process.
+const maxPooledTokens = 1 << 14
+
+// tokenPool recycles Parse's token buffers. No token outlives a parse: the
+// AST keeps only token texts, which are slices of the input or static
+// keyword spellings, so a buffer is cleared and reused.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
 
 // Parse parses a single SELECT statement (an optional trailing semicolon is
 // allowed) and returns its AST.
 func Parse(input string) (*SelectStmt, error) {
-	toks, err := Lex(input)
-	if err != nil {
-		return nil, err
+	buf := tokenPool.Get().(*[]Token)
+	toks, err := lex((*buf)[:0], input)
+	var stmt *SelectStmt
+	if err == nil {
+		stmt, err = parseTokens(toks)
 	}
+	clear(toks) // drop the texts, which would pin the input
+	if cap(toks) <= maxPooledTokens {
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}
+	return stmt, err
+}
+
+// parseTokens parses one statement from a lexed token stream.
+func parseTokens(toks []Token) (*SelectStmt, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseSelect()
 	if err != nil {
@@ -40,6 +72,8 @@ func MustParse(input string) *SelectStmt {
 type parser struct {
 	toks []Token
 	pos  int
+	// depth is the nesting level being parsed; see maxDepth.
+	depth int
 }
 
 func (p *parser) peek() Token  { return p.toks[p.pos] }
@@ -55,6 +89,17 @@ func (p *parser) next() Token {
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sqlparser: %s (near offset %d)", fmt.Sprintf(format, args...), p.peek().Pos)
+}
+
+// nest enters one more nesting level, failing past maxDepth. Callers restore
+// p.depth when the nested construct is done; after an error the parse is
+// abandoned, so error paths need not.
+func (p *parser) nest() error {
+	if p.depth >= maxDepth {
+		return p.errf("statement nests deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
 }
 
 func (p *parser) acceptKeyword(kw string) bool {
@@ -88,6 +133,15 @@ func (p *parser) expectSymbol(sym string) error {
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	stmt, err := p.parseSelectBody()
+	p.depth--
+	return stmt, err
+}
+
+func (p *parser) parseSelectBody() (*SelectStmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -308,20 +362,32 @@ func (p *parser) parseTableName() (name, alias string, err error) {
 //	add     := mul (( + | - | "||" ) mul)*
 //	mul     := unary (( * | / | % ) unary)*
 //	unary   := - unary | primary
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.acceptKeyword("OR") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
 		left = &BinaryExpr{Op: "OR", Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
@@ -330,22 +396,31 @@ func (p *parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.acceptKeyword("AND") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
 		left = &BinaryExpr{Op: "AND", Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &UnaryExpr{Op: "NOT", Expr: e}, nil
 	}
 	return p.parsePredicate()
@@ -360,9 +435,14 @@ func (p *parser) parsePredicate() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each predicate below wraps left in one more node.
+	depth := p.depth
 	for {
 		switch {
 		case p.peek().Kind == TokenKeyword && p.peek().Text == "IS":
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			p.next()
 			not := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("NULL"); err != nil {
@@ -372,6 +452,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 		case p.peek().Kind == TokenKeyword && p.peek().Text == "NOT" &&
 			p.peek2().Kind == TokenKeyword &&
 			(p.peek2().Text == "IN" || p.peek2().Text == "BETWEEN" || p.peek2().Text == "LIKE"):
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			p.next() // NOT
 			e, err := p.parsePredicateTail(left, true)
 			if err != nil {
@@ -380,12 +463,16 @@ func (p *parser) parsePredicate() (Expr, error) {
 			left = e
 		case p.peek().Kind == TokenKeyword &&
 			(p.peek().Text == "IN" || p.peek().Text == "BETWEEN" || p.peek().Text == "LIKE"):
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			e, err := p.parsePredicateTail(left, false)
 			if err != nil {
 				return nil, err
 			}
 			left = e
 		default:
+			p.depth = depth
 			return left, nil
 		}
 	}
@@ -506,8 +593,12 @@ func (p *parser) parseAdditive() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.peek().Kind == TokenSymbol &&
 		(p.peek().Text == "+" || p.peek().Text == "-" || p.peek().Text == "||") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		op := p.next().Text
 		right, err := p.parseMultiplicative()
 		if err != nil {
@@ -515,6 +606,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 		}
 		left = &BinaryExpr{Op: op, Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
@@ -523,8 +615,12 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.peek().Kind == TokenSymbol &&
 		(p.peek().Text == "*" || p.peek().Text == "/" || p.peek().Text == "%") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		op := p.next().Text
 		right, err := p.parseUnary()
 		if err != nil {
@@ -532,16 +628,21 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		}
 		left = &BinaryExpr{Op: op, Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.peek().Kind == TokenSymbol && p.peek().Text == "-" {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.next()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &UnaryExpr{Op: "-", Expr: e}, nil
 	}
 	return p.parsePrimary()
@@ -711,11 +812,4 @@ func (p *parser) parseFuncCall() (Expr, error) {
 		return nil, err
 	}
 	return fc, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
