@@ -121,14 +121,14 @@ func WithRetrieval(inner Client, corpus []Document) Client {
 type Database struct {
 	db backend.Backend
 	// rt / tkey link a database born from Runtime.Benchmark back to its warm
-	// template, so the runtime can adopt the job's plan cache afterwards.
+	// template, so the runtime can serve the template's digests and prompt.
 	// Zero for standalone databases.
 	rt   *Runtime
 	tkey templateKey
 	// pristine marks a template snapshot whose configuration still matches
 	// the template's defaults: no settings applied, no indexes created, no
-	// backend rewrap. While it holds, default-workload timings equal the
-	// template's and the runtime may serve them from its per-template cache.
+	// backend rewrap. While it holds, the prompt generated from it equals the
+	// template's and the runtime may serve it from its per-template cache.
 	pristine bool
 }
 
@@ -542,8 +542,9 @@ func (d *Database) ClockSeconds() float64 { return d.db.Clock().Now() }
 // the run's first backend call, and nothing is carried across.
 // BackendReport reads the registry the decorator currently feeds.
 func (d *Database) Instrument() {
-	// The decorator counts every backend call; serving cached timings would
-	// skip those counts, so an instrumented database is never pristine.
+	// The decorator counts every backend call; serving the template's cached
+	// prompt would skip the Explain calls behind it, so an instrumented
+	// database is never pristine.
 	d.pristine = false
 	d.db = instrumented.Wrap(d.db)
 }

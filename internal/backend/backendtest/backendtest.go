@@ -333,14 +333,16 @@ type statsReporter interface{ Registry() *obs.Registry }
 var surfaceNames = []string{"apply_config", "create_index", "run_query", "explain"}
 
 // testSnapshotIsolation: replicas must be isolated — their clocks,
-// configurations and index sets evolve independently — and AbsorbSnapshot
-// folds execution counters back into the parent when the backend counts
-// executions.
+// configurations and index sets evolve independently, and whatever a replica
+// plans or caches leaves the parent's measurements exactly as they were —
+// and AbsorbSnapshot folds execution counters back into the parent when the
+// backend counts executions.
 func testSnapshotIsolation(t *testing.T, f Factory) {
 	b := open(t, f)
 	qs := queries(t)
 	q := qs[0]
 	c0 := b.Clock().Now()
+	parentBefore := b.WorkloadSeconds(qs)
 
 	snap := b.Snapshot()
 	if snap == nil {
@@ -366,6 +368,10 @@ func testSnapshotIsolation(t *testing.T, f Factory) {
 	}
 	if snap.Clock().Now() <= c0 {
 		t.Error("replica clock did not advance under replica work")
+	}
+	snap.WorkloadSeconds(qs)
+	if got := b.WorkloadSeconds(qs); got != parentBefore {
+		t.Errorf("replica work moved the parent's workload seconds from %v to %v", parentBefore, got)
 	}
 
 	// Parent work must not leak into the replica either.

@@ -38,17 +38,17 @@ type DB struct {
 	// base records the counters at Snapshot time (zero on primary instances);
 	// AbsorbSnapshot folds deltas above it back into the parent.
 	base snapBase
-	// cache memoizes plans per (effects, index signature, query); see
-	// plancache.go. groupKeys/groupSigs hold the lazily maintained sorted
+	// plans memoizes plans per (effects, index signature, query) and is
+	// shared with every snapshot of this DB (see plancache.go); plansOff
+	// bypasses it. groupKeys/groupSigs hold the lazily maintained sorted
 	// key lists and interned content signatures per probe group — a
 	// (table, leading column) pair, the granularity at which the planner
 	// consults the index set; its probes read groupKeys directly
 	// (groupIndexKeys). Mutations update one group (noteIndexChange)
-	// and bump sigSeq; qsigs memoizes the per-query composition; sigs is the
-	// intern table shared with snapshots; sigScratch is the full rebuild's
-	// reusable key buffer.
-	cache         planCache
-	sigs          *sigIntern
+	// and bump sigSeq; qsigs memoizes the per-query composition;
+	// sigScratch is the full rebuild's reusable key buffer.
+	plans         *planStore
+	plansOff      bool
 	groupKeys     map[string][]string
 	groupSigs     map[string]uint32
 	qsigs         map[*Query]querySigEntry
@@ -90,8 +90,7 @@ func NewDB(f Flavor, catalog *Catalog, hw Hardware) *DB {
 		hw:        hw,
 		indexes:   map[string]IndexDef{},
 		permanent: map[string]bool{},
-		cache:     planCache{counters: &planCacheCounters{}},
-		sigs:      &sigIntern{},
+		plans:     &planStore{},
 	}
 	db.SetSettings(Params(f).Defaults())
 	return db

@@ -24,7 +24,7 @@ import (
 //     further drops maintenanceBytes (db.keyEff), which prices index builds
 //     but never query plans.
 //   - the index-set signature is content-addressed (sorted index keys,
-//     interned to compact ids — see sigIntern), not a bare mutation counter:
+//     interned to compact ids — see planStore), not a bare mutation counter:
 //     selector rounds drop and re-create the same index sets over and over,
 //     and a counter would miss on every round. The signature is further
 //     restricted to the query's probe groups — the planner consults the
@@ -40,11 +40,17 @@ import (
 //   - the *Query pointer identifies the query. Queries are parsed once per
 //     workload and never mutated afterwards.
 //
-// COW sharing mirrors the engine's snapshot model: Snapshot() freezes the
-// parent's private write map into an immutable frozen layer and hands the
-// child the frozen-layer chain plus a fresh write map. Workers on different
-// snapshots then share the parent's read-mostly entries without any lock on
-// the planning hot path; hit/miss/evict counters are shared atomics.
+// One store per family: a DB and every snapshot taken from it, and from
+// those in turn, plan into one planStore. A plan one member stores is a hit
+// for every other member at once (the parent, the sibling replicas of a
+// parallel round, concurrent jobs on one Runtime template), so nothing is
+// ever folded back. The store is locked; planning runs outside the lock.
+// Eviction is generational: plans enter the current generation, and once it
+// holds planGeneration plans the next store drops the old generation and
+// makes the current one old. A hit in the old generation moves the plan into
+// the current one, so a hit never grows the store and a hot set survives any
+// number of turnovers. Each plan built is dropped at most once, so Evictions
+// never exceeds Misses.
 
 // PlanCacheStats reports plan-memoization counters. Hits and Misses count
 // plan lookups; Evictions counts entries discarded to bound memory.
@@ -71,44 +77,10 @@ func (s PlanCacheStats) String() string {
 		s.Hits, s.Misses, s.Evictions, 100*s.HitRate())
 }
 
-// planCacheCounters is shared by a DB and all its snapshots so telemetry
-// covers replica work; atomics keep concurrent snapshot planning lock-free.
-// gen is the freeze generation: bumped once per freeze, it is the clock that
-// entry touch stamps are read against during compaction.
-type planCacheCounters struct {
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	gen       atomic.Uint32
-}
-
-const (
-	// planCacheMaxEntries bounds the private write layer; on overflow the
-	// layer is frozen (becoming the newest segment of the frozen chain), so
-	// hot entries survive and eviction happens in oldest-segment granularity.
-	planCacheMaxEntries = 16384
-	// planCacheMaxLayers bounds the frozen-layer chain; overflow compacts the
-	// oldest two layers, retaining recently-touched entries. Lookups scan at
-	// most this many maps plus the compacted head, so total capacity is about
-	// (planCacheMaxLayers+2) × planCacheMaxEntries entries.
-	planCacheMaxLayers = 6
-	// planCacheRecentGens is the compaction recency window: an oldest-layer
-	// entry survives compaction only if it was hit within this many freeze
-	// generations. One window ≈ one full trip through the chain.
-	planCacheRecentGens = planCacheMaxLayers
-	// planCacheCompactCap bounds the compacted head layer so repeated merges
-	// cannot accrete unboundedly.
-	planCacheCompactCap = 2 * planCacheMaxEntries
-)
-
-// planEntry wraps a cached *Plan with its recency stamp. touch holds the
-// freeze generation of the entry's most recent hit (0 = never re-hit); it is
-// an atomic because frozen layers are shared read-only across snapshots, and
-// stamping recency is the one mutation the hot path performs on them.
-type planEntry struct {
-	p     *Plan
-	touch atomic.Uint32
-}
+// planGeneration is how many plans the current generation takes before the
+// next store turns the generations over. A JOB plan is about 1.3 KB; DESIGN
+// §9 gives the measurements behind the size.
+const planGeneration = 2048
 
 // planKey identifies one memoized planning. All three components are exact —
 // there are no collisions, only identical plans.
@@ -118,189 +90,93 @@ type planKey struct {
 	q   *Query
 }
 
-// planCache is the per-DB memoization state. The frozen layers are immutable
-// (modulo the atomic recency stamps) and may be shared with snapshots; the
-// write map is private to one DB.
-type planCache struct {
-	counters *planCacheCounters
-	frozen   []map[planKey]*planEntry
-	write    map[planKey]*planEntry
-	// ownFrom is the index of the first frozen layer born from THIS
-	// instance's write map (by freeze) rather than inherited from the parent
-	// at snapshot time. Layers at ownFrom and beyond hold plannings the
-	// parent has never seen; absorb folds them back alongside the write map
-	// so a multi-round evaluation loses nothing when its snapshot dies.
-	ownFrom int
-	off     bool
+// planStore memoizes the plans of one DB family. ids interns probe-group
+// signature contents (the sorted index keys of one group, NUL-joined) to
+// small stable ids, which keeps planKey.sig a few bytes long (cheap to hash
+// on every lookup) while staying exact: equal ids mean byte-equal contents,
+// never a lossy hash. Sharing ids is what lets one member's signature match
+// another's for the same index set.
+type planStore struct {
+	mu                      sync.Mutex
+	cur, old                map[planKey]*Plan
+	ids                     map[string]uint32
+	hits, misses, evictions atomic.Uint64
 }
 
-// lookup probes the private write layer, then the frozen chain newest-first,
-// stamping the hit entry with the current freeze generation so compaction
-// can tell hot entries from cold ones.
-func (c *planCache) lookup(key planKey) (*Plan, bool) {
-	if e, ok := c.write[key]; ok {
-		e.touch.Store(c.counters.gen.Load())
-		return e.p, true
-	}
-	for i := len(c.frozen) - 1; i >= 0; i-- {
-		if e, ok := c.frozen[i][key]; ok {
-			e.touch.Store(c.counters.gen.Load())
-			return e.p, true
+// lookup returns the plan stored under key, counting the hit or the miss. A
+// hit in the old generation moves the plan into the current one.
+func (s *planStore) lookup(key planKey) (*Plan, bool) {
+	s.mu.Lock()
+	p, ok := s.cur[key]
+	if !ok {
+		if p, ok = s.old[key]; ok {
+			delete(s.old, key)
+			s.cur[key] = p
 		}
 	}
-	return nil, false
+	s.mu.Unlock()
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return p, ok
 }
 
-// store inserts into the write layer. At the cap the layer is frozen into
-// the segment chain (compacting at most the chain's oldest segments) rather
-// than discarded — long single-instance searches like UDO's would otherwise
-// lose their entire working set at every overflow.
-func (c *planCache) store(key planKey, p *Plan) {
-	if len(c.write) >= planCacheMaxEntries {
-		c.freeze()
+// store inserts a plan, first turning the generations over when the current
+// one is full: the old generation's plans are dropped and counted as
+// evictions.
+func (s *planStore) store(key planKey, p *Plan) {
+	s.mu.Lock()
+	if len(s.cur) >= planGeneration {
+		s.evictions.Add(uint64(len(s.old)))
+		s.old, s.cur = s.cur, make(map[planKey]*Plan, planGeneration)
+	} else if s.cur == nil {
+		s.cur = make(map[planKey]*Plan, 64)
 	}
-	if c.write == nil {
-		c.write = make(map[planKey]*planEntry, 64)
-	}
-	c.write[key] = &planEntry{p: p}
+	s.cur[key] = p
+	s.mu.Unlock()
 }
 
-// freeze turns the write layer into an immutable frozen layer. Called before
-// sharing the chain with a snapshot; consecutive snapshots with no writes in
-// between share the same chain without growing it.
-func (c *planCache) freeze() {
-	if len(c.write) == 0 {
-		return
-	}
-	c.frozen = append(c.frozen, c.write)
-	c.write = nil
-	c.counters.gen.Add(1)
-	if len(c.frozen) <= planCacheMaxLayers {
-		return
-	}
-	c.compactOldest()
-}
-
-// compactOldest merges the chain's two oldest layers into one, keeping every
-// entry of the newer layer and only the recently-touched entries of the
-// older one (bounded by planCacheCompactCap). A daemon churning through
-// cold tenants thus sheds their never-re-hit plans while the hot cross-job
-// working set keeps riding the chain's head, and eviction never hits
-// entries that are actually being used.
-func (c *planCache) compactOldest() {
-	gen := c.counters.gen.Load()
-	f0, f1 := c.frozen[0], c.frozen[1]
-	merged := make(map[planKey]*planEntry, len(f1))
-	for k, e := range f1 {
-		merged[k] = e
-	}
-	dropped := 0
-	for k, e := range f0 {
-		if _, ok := merged[k]; ok {
-			dropped++ // shadowed by the newer layer: unreachable already
-			continue
+// id returns the interned id of one probe group's signature content.
+func (s *planStore) id(content string) uint32 {
+	s.mu.Lock()
+	id, ok := s.ids[content]
+	if !ok {
+		if s.ids == nil {
+			s.ids = make(map[string]uint32, 16)
 		}
-		if gen-e.touch.Load() <= planCacheRecentGens && len(merged) < planCacheCompactCap {
-			merged[k] = e
-		} else {
-			dropped++
-		}
+		id = uint32(len(s.ids)) + 1
+		s.ids[content] = id
 	}
-	if dropped > 0 {
-		c.counters.evictions.Add(uint64(dropped))
-	}
-	c.frozen[1] = merged
-	c.frozen = append(c.frozen[:0], c.frozen[1:]...)
-	if c.ownFrom > 0 {
-		// The merged head inherits ownership from the newer input: if either
-		// merged layer was own, treating the result as own only means absorb
-		// copies some already-known entries — identical values, so harmless.
-		c.ownFrom--
-	}
-}
-
-// snapshotCache returns the cache state for a new snapshot: the shared
-// frozen chain (copied slice header, shared immutable maps), shared
-// counters, and a nil (lazily allocated) private write map.
-func (c *planCache) snapshotCache() planCache {
-	if c.off {
-		return planCache{off: true, counters: c.counters}
-	}
-	c.freeze()
-	return planCache{
-		counters: c.counters,
-		frozen:   append([]map[planKey]*planEntry(nil), c.frozen...),
-		ownFrom:  len(c.frozen), // everything so far is inherited
-	}
-}
-
-// absorb folds a snapshot's private plannings back into this cache so later
-// rounds benefit from plans computed on replicas (matching the sequential
-// path's hit profile): the write map, plus any layers the snapshot froze out
-// of its own writes along the way — a multi-round evaluation freezes its
-// accumulated plans every time it re-snapshots, and without ownFrom
-// tracking those layers would be lost with the snapshot, leaving every later
-// job to replan them. Entries are content-addressed and plans deterministic,
-// so merge order cannot change any value; a hard bound keeps a worker fleet
-// from ballooning the parent's write layer.
-func (c *planCache) absorb(o *planCache) {
-	if c.off || o.off {
-		return
-	}
-	c.absorbLayer(o.write)
-	for _, l := range o.frozen[min(o.ownFrom, len(o.frozen)):] {
-		c.absorbLayer(l)
-	}
-}
-
-// absorbLayer copies one layer's entries into the write map under the
-// absorb bound.
-func (c *planCache) absorbLayer(l map[planKey]*planEntry) {
-	if len(l) == 0 {
-		return
-	}
-	if c.write == nil {
-		c.write = make(map[planKey]*planEntry, len(l))
-	}
-	dropped := 0
-	for k, e := range l {
-		if len(c.write) >= 2*planCacheMaxEntries {
-			dropped++
-			continue
-		}
-		c.write[k] = e
-	}
-	if dropped > 0 {
-		c.counters.evictions.Add(uint64(dropped))
-	}
+	s.mu.Unlock()
+	return id
 }
 
 // SetPlanCache enables or disables plan memoization (enabled by default).
-// Disabling drops every cached entry; simulated results are identical either
-// way — the toggle exists for benchmarking the host-CPU effect.
+// Disabling stops this DB from reading or writing its store. Re-enabling gives
+// it a fresh, empty store (which its later snapshots share), so it starts
+// empty without clearing a store other DBs of its family still use.
+// Simulated results are identical either way; the toggle exists for
+// benchmarking the host-CPU effect.
 func (db *DB) SetPlanCache(on bool) {
-	if db.cache.off != on {
-		return // no state change
+	if on && db.plansOff {
+		db.plans = &planStore{}
+		db.indexSigDirty = true // the signature ids belong to the old store
 	}
-	db.cache.off = !on
-	db.cache.frozen = nil
-	db.cache.write = nil
+	db.plansOff = !on
 }
 
 // PlanCacheEnabled reports whether plan memoization is currently on.
-func (db *DB) PlanCacheEnabled() bool { return !db.cache.off }
+func (db *DB) PlanCacheEnabled() bool { return !db.plansOff }
 
-// PlanCacheStats returns the memoization counters accumulated by this
-// instance and every snapshot taken from it.
+// PlanCacheStats returns the counters of this DB's store, which it shares
+// with the DB it was snapshotted from and with every snapshot taken from it.
 func (db *DB) PlanCacheStats() PlanCacheStats {
-	c := db.cache.counters
-	if c == nil {
-		return PlanCacheStats{}
-	}
 	return PlanCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      db.plans.hits.Load(),
+		Misses:    db.plans.misses.Load(),
+		Evictions: db.plans.evictions.Load(),
 	}
 }
 
@@ -309,32 +185,6 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 type querySigEntry struct {
 	seq uint64
 	sig string
-}
-
-// sigIntern maps per-table index-signature contents (the sorted index keys of
-// one table, NUL-joined) to small stable ids. Interning keeps planKey.sig a
-// few bytes long — cheap to hash on every lookup — while staying exact: equal
-// ids mean byte-equal contents, never a lossy hash. The table is shared by a
-// DB and all its snapshots (ids must agree for frozen-layer hits to work
-// across replicas), hence the lock; it is only taken on rebuilds after an
-// index mutation, never on the planning hot path.
-type sigIntern struct {
-	mu  sync.Mutex
-	ids map[string]uint32
-}
-
-func (si *sigIntern) id(content string) uint32 {
-	si.mu.Lock()
-	id, ok := si.ids[content]
-	if !ok {
-		if si.ids == nil {
-			si.ids = make(map[string]uint32, 16)
-		}
-		id = uint32(len(si.ids)) + 1
-		si.ids[content] = id
-	}
-	si.mu.Unlock()
-	return id
 }
 
 // indexGroup returns the probe group an index belongs to: its (lowercase)
@@ -370,7 +220,7 @@ func (db *DB) rebuildGroupSigs() {
 		db.groupKeys[g] = append(db.groupKeys[g], k)
 	}
 	for g, ks := range db.groupKeys {
-		db.groupSigs[g] = db.sigs.id(joinKeys(ks))
+		db.groupSigs[g] = db.plans.id(joinKeys(ks))
 	}
 	db.sigSeq++
 	db.indexSigDirty = false
@@ -417,7 +267,7 @@ func (db *DB) noteIndexChange(def IndexDef, added bool) {
 		delete(db.groupSigs, g)
 	} else {
 		db.groupKeys[g] = ks
-		db.groupSigs[g] = db.sigs.id(joinKeys(ks))
+		db.groupSigs[g] = db.plans.id(joinKeys(ks))
 	}
 	db.sigSeq++
 }
@@ -462,16 +312,14 @@ func (db *DB) querySig(q *Query) string {
 // (Explain, Plan, QuerySeconds, Execute, WorkloadSeconds, PlanCost) funnels
 // through it.
 func (db *DB) cachedPlan(q *Query) *Plan {
-	if db.cache.off || db.cache.counters == nil {
+	if db.plansOff {
 		return db.plan(q)
 	}
 	key := planKey{eff: db.keyEff, sig: db.querySig(q), q: q}
-	if p, ok := db.cache.lookup(key); ok {
-		db.cache.counters.hits.Add(1)
+	if p, ok := db.plans.lookup(key); ok {
 		return p
 	}
-	db.cache.counters.misses.Add(1)
 	p := db.plan(q)
-	db.cache.store(key, p)
+	db.plans.store(key, p)
 	return p
 }

@@ -186,129 +186,105 @@ func TestPlanCacheToggle(t *testing.T) {
 	})
 }
 
-// TestPlanCacheSnapshotIsolation: snapshots share the parent's frozen
-// entries, but a child's private writes never leak into the parent until
-// AbsorbSnapshot folds them back.
-func TestPlanCacheSnapshotIsolation(t *testing.T) {
+// TestPlanStoreSharedBySnapshots: a DB and its snapshots plan into one
+// store, so a plan any of them stores is a hit for the others at once, with
+// nothing folded back; a snapshot configured differently plans under its own
+// keys.
+func TestPlanStoreSharedBySnapshots(t *testing.T) {
 	db := testDB(t)
 	q1 := MustPrepareQuery("q1", joinQuery)
 	q2 := MustPrepareQuery("q2", "SELECT SUM(f_val) FROM fact")
-	db.QuerySeconds(q1) // warm the parent
+	db.QuerySeconds(q1)
 
-	child := db.Snapshot()
-	if len(db.cache.write) != 0 {
-		t.Fatal("Snapshot did not freeze the parent's write layer")
+	a, b := db.Snapshot(), db.Snapshot()
+	if a.plans != db.plans || b.plans != db.plans {
+		t.Fatal("snapshots do not share the parent's store")
 	}
+	runCacheSteps(t, a, q1, []cacheStep{{name: "parent's plan on a snapshot", wantHit: true}})
+	runCacheSteps(t, a, q2, []cacheStep{{name: "first plan on a snapshot", wantHit: false}})
+	runCacheSteps(t, b, q2, []cacheStep{{name: "sibling's plan", wantHit: true}})
+	runCacheSteps(t, db, q2, []cacheStep{{name: "snapshot's plan on the parent", wantHit: true}})
 
-	base := db.PlanCacheStats()
-	child.QuerySeconds(q1) // served from the shared frozen layer
-	if st := db.PlanCacheStats(); st.Hits != base.Hits+1 || st.Misses != base.Misses {
-		t.Errorf("child lookup on shared entry: %+v -> %+v, want one hit", base, st)
+	if err := b.ApplyConfigParams(&Config{ID: "c", Params: map[string]string{"work_mem": "1GB"}}); err != nil {
+		t.Fatal(err)
 	}
-
-	child.QuerySeconds(q2) // lands in the child's private write layer
-	key := planKey{eff: db.keyEff, sig: db.querySig(q2), q: q2}
-	if _, ok := db.cache.lookup(key); ok {
-		t.Error("child write leaked into the parent before absorb")
+	b.CreateIndex(NewIndexDef("fact", "f_d1"))
+	runCacheSteps(t, b, q1, []cacheStep{{name: "reconfigured snapshot", wantHit: false}})
+	if got, want := b.QuerySeconds(q1), PlanReference(b, q1).TrueSeconds(); got != want {
+		t.Errorf("reconfigured snapshot reads %v, reference %v", got, want)
 	}
-	if len(child.cache.write) != 1 {
-		t.Errorf("child write layer has %d entries, want 1", len(child.cache.write))
-	}
-
-	db.AbsorbSnapshot(child)
-	if _, ok := db.cache.lookup(key); !ok {
-		t.Error("AbsorbSnapshot did not fold the child's writes back")
+	if got, want := db.QuerySeconds(q1), PlanReference(db, q1).TrueSeconds(); got != want {
+		t.Errorf("parent reads %v after the snapshot's plan, reference %v", got, want)
 	}
 }
 
-// TestPlanCacheWriteLayerEviction: write-layer overflow freezes the layer
-// into the segment chain — entries stay reachable, nothing is discarded
-// until the chain itself overflows.
-func TestPlanCacheWriteLayerEviction(t *testing.T) {
-	c := planCache{counters: &planCacheCounters{}}
+// TestPlanStoreGenerations: the current generation takes planGeneration
+// plans; the next store makes it the old generation without dropping
+// anything, and the store after the following generation drops the old one,
+// counting each of its plans once.
+func TestPlanStoreGenerations(t *testing.T) {
+	var s planStore
 	p := &Plan{}
-	for i := 0; i <= planCacheMaxEntries; i++ {
-		c.store(planKey{sig: fmt.Sprint(i)}, p)
+	for i := 0; i <= planGeneration; i++ {
+		s.store(planKey{sig: fmt.Sprint(i)}, p)
 	}
-	if len(c.write) != 1 {
-		t.Errorf("write layer has %d entries after overflow, want 1", len(c.write))
+	if len(s.cur) != 1 || len(s.old) != planGeneration {
+		t.Errorf("after one turnover: cur %d, old %d plans, want 1 and %d", len(s.cur), len(s.old), planGeneration)
 	}
-	if len(c.frozen) != 1 {
-		t.Errorf("frozen chain has %d segments after overflow, want 1", len(c.frozen))
+	if got := s.evictions.Load(); got != 0 {
+		t.Errorf("evictions = %d after the first turnover, want 0", got)
 	}
-	if got := c.counters.evictions.Load(); got != 0 {
-		t.Errorf("evictions = %d, want 0 — overflow must not discard entries", got)
+	if _, ok := s.lookup(planKey{sig: "1"}); !ok {
+		t.Error("a plan of the old generation became unreachable")
 	}
-	if _, ok := c.lookup(planKey{sig: "0"}); !ok {
-		t.Error("entry from the frozen segment became unreachable")
+	for i := 0; i < planGeneration; i++ {
+		s.store(planKey{sig: fmt.Sprintf("next-%d", i)}, p)
 	}
-	// Only when the segment chain overflows do entries actually die; the
-	// compaction keeps recently-touched entries, so pin a never-touched one.
-	for seg := 0; seg < planCacheMaxLayers+2; seg++ {
-		for i := 0; i <= planCacheMaxEntries; i++ {
-			c.store(planKey{sig: fmt.Sprintf("s%d-%d", seg, i)}, p)
-		}
+	if got, want := s.evictions.Load(), uint64(planGeneration-1); got != want {
+		t.Errorf("evictions = %d after the second turnover, want %d", got, want)
 	}
-	if got := c.counters.evictions.Load(); got == 0 {
-		t.Error("chain overflow evicted nothing")
+	if _, ok := s.lookup(planKey{sig: "2"}); ok {
+		t.Error("a plan of the dropped generation is still stored")
 	}
-	if _, ok := c.lookup(planKey{sig: "1"}); ok {
-		t.Error("never-touched oldest-segment entry survived compaction")
-	}
-	if len(c.frozen) > planCacheMaxLayers {
-		t.Errorf("frozen chain has %d layers, bound %d", len(c.frozen), planCacheMaxLayers)
+	if _, ok := s.lookup(planKey{sig: "1"}); !ok {
+		t.Error("the plan hit in the old generation was dropped with it")
 	}
 }
 
-// TestPlanCacheCompactionRetention: the recency-aware compaction must keep a
-// hot (re-hit) entry reachable across arbitrarily many chain overflows while
-// shedding never-touched entries from the same old layers.
-func TestPlanCacheCompactionRetention(t *testing.T) {
+// TestPlanStoreHitMovesPlan: a hit in the old generation moves the plan into
+// the current one without turning the generations over, so a hot set as
+// large as a whole generation survives any number of turnovers while the
+// plans nobody hits are dropped.
+func TestPlanStoreHitMovesPlan(t *testing.T) {
+	var s planStore
 	p := &Plan{}
-	hot := planKey{sig: "hot"}
-
-	c := planCache{counters: &planCacheCounters{}}
-	c.store(hot, p)
-	c.freeze()
-	for i := 0; i < planCacheMaxLayers+5; i++ {
-		if _, ok := c.lookup(hot); !ok {
-			t.Fatalf("hot entry lost after %d freezes", i)
-		}
-		c.store(planKey{sig: fmt.Sprintf("cold%d", i)}, p)
-		c.freeze()
+	hot := func(i int) planKey { return planKey{sig: fmt.Sprintf("hot-%d", i)} }
+	for i := 0; i < planGeneration; i++ {
+		s.store(hot(i), p)
 	}
-	if _, ok := c.lookup(hot); !ok {
-		t.Error("hot entry evicted despite being touched every generation")
-	}
-	if _, ok := c.lookup(planKey{sig: "cold0"}); ok {
-		t.Error("never-touched cold entry survived compaction")
-	}
-	if got := c.counters.evictions.Load(); got == 0 {
-		t.Error("compaction evicted nothing")
-	}
-	if len(c.frozen) > planCacheMaxLayers {
-		t.Errorf("frozen chain has %d layers, bound %d", len(c.frozen), planCacheMaxLayers)
-	}
-}
-
-// BenchmarkPlanCache measures repeat planning of the three-way join with the
-// memoization cache on and off.
-func BenchmarkPlanCache(b *testing.B) {
-	q := MustPrepareQuery("q", joinQuery)
-	for _, on := range []bool{true, false} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := NewDB(Postgres, testCatalog(), DefaultHardware)
-			db.SetPlanCache(on)
-			db.QuerySeconds(q) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.QuerySeconds(q)
+	for round := 0; round < 5; round++ {
+		s.store(planKey{sig: fmt.Sprintf("cold-%d", round)}, p) // turns over
+		for i := 0; i < planGeneration; i++ {
+			if _, ok := s.lookup(hot(i)); !ok {
+				t.Fatalf("round %d: hot plan %d was dropped", round, i)
 			}
-		})
+		}
+		// Only the previous round's cold plan is left to drop, and each
+		// turnover dropped exactly the one before it.
+		if wantOld := min(round, 1); len(s.old) != wantOld {
+			t.Fatalf("round %d: %d plans left in the old generation, want %d", round, len(s.old), wantOld)
+		}
+		if got, want := s.evictions.Load(), uint64(max(round-1, 0)); got != want {
+			t.Fatalf("round %d: evictions = %d, want %d", round, got, want)
+		}
 	}
+	if _, ok := s.lookup(planKey{sig: "cold-0"}); ok {
+		t.Error("a plan never hit survived two turnovers")
+	}
+}
+
+// JoinFixture returns a DB on the star schema of testCatalog and the
+// three-way join query, for BenchmarkPlanCache in the external test package.
+func JoinFixture() (*DB, *Query) {
+	return NewDB(Postgres, testCatalog(), DefaultHardware), MustPrepareQuery("q", joinQuery)
 }

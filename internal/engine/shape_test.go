@@ -199,19 +199,53 @@ func TestQueryShapeAcrossCatalogs(t *testing.T) {
 }
 
 // TestConcurrentShapeBuild plans freshly prepared queries on four snapshots
-// at once, so their first plans race to build and publish each shape (run
-// it with -race). Every plan must match the reference planner's.
+// at once, so their first plans race to build and publish each shape and to
+// store plans in the store the snapshots share (run it with -race). The
+// snapshots form two pairs, each pair with its own settings and one extra
+// index. Every plan must match the reference planner's on a DB configured
+// the same way; with the cache on, the pairs must store their plans under
+// different keys, and a pair's plans must be hits for the pair's other
+// snapshots.
 func TestConcurrentShapeBuild(t *testing.T) {
 	w := workload.JOB()
-	db := engine.NewDB(engine.Postgres, w.Catalog, engine.DefaultHardware)
-	for _, def := range w.InitialIndexes() {
-		db.CreatePermanentIndex(def)
+	pairs := []struct {
+		params map[string]string
+		index  engine.IndexDef
+	}{
+		{map[string]string{"work_mem": "1GB", "random_page_cost": "1.1"}, engine.NewIndexDef("title", "production_year")},
+		{map[string]string{"work_mem": "16MB", "enable_hashjoin": "off"}, engine.NewIndexDef("movie_info", "info")},
 	}
-	want := make([]*engine.Plan, len(w.Queries))
-	for i, q := range w.Queries {
-		want[i] = engine.PlanReference(db, q)
+	configure := func(db *engine.DB, pair int) {
+		if err := db.ApplyConfigParams(&engine.Config{ID: "pair", Params: pairs[pair].params}); err != nil {
+			t.Fatal(err)
+		}
+		if db.CreateIndex(pairs[pair].index) <= 0 {
+			t.Fatalf("pair %d: index %s not created", pair, pairs[pair].index.Key())
+		}
+	}
+	newDB := func() *engine.DB {
+		db := engine.NewDB(engine.Postgres, w.Catalog, engine.DefaultHardware)
+		for _, def := range w.InitialIndexes() {
+			db.CreatePermanentIndex(def)
+		}
+		return db
+	}
+	want := make([][]*engine.Plan, len(pairs))
+	differ := false
+	for p := range pairs {
+		ref := newDB()
+		configure(ref, p)
+		want[p] = make([]*engine.Plan, len(w.Queries))
+		for i, q := range w.Queries {
+			want[p][i] = engine.PlanReference(ref, q)
+			differ = differ || p > 0 && !reflect.DeepEqual(want[p][i], want[0][i])
+		}
+	}
+	if !differ {
+		t.Fatal("the pairs' configurations plan every query alike")
 	}
 	for _, cache := range []bool{false, true} {
+		db := newDB()
 		db.SetPlanCache(cache)
 		fresh := make([]*engine.Query, len(w.Queries))
 		for i, q := range w.Queries {
@@ -221,12 +255,13 @@ func TestConcurrentShapeBuild(t *testing.T) {
 		errs := make(chan string, 4) // one per goroutine, each sends at most once
 		for g := 0; g < 4; g++ {
 			snap := db.Snapshot()
+			configure(snap, g%2)
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for k := range fresh {
 					i := (k + g*len(fresh)/4) % len(fresh)
-					if got := snap.Plan(fresh[i]); !reflect.DeepEqual(got, want[i]) {
+					if got := snap.Plan(fresh[i]); !reflect.DeepEqual(got, want[g%2][i]) {
 						errs <- fresh[i].Name
 						return
 					}
@@ -237,6 +272,25 @@ func TestConcurrentShapeBuild(t *testing.T) {
 		close(errs)
 		for name := range errs {
 			t.Errorf("cache=%v: %s planned differently on a snapshot", cache, name)
+		}
+		if !cache {
+			continue
+		}
+		if st, keys := db.PlanCacheStats(), uint64(len(pairs)*len(fresh)); st.Misses < keys {
+			t.Errorf("%d misses for %d distinct keys: the pairs share keys (%v)", st.Misses, keys, st)
+		}
+		for p := range pairs {
+			late := db.Snapshot()
+			configure(late, p)
+			before := late.PlanCacheStats()
+			for i, q := range fresh {
+				if got := late.Plan(q); !reflect.DeepEqual(got, want[p][i]) {
+					t.Errorf("pair %d: %s served a plan of another configuration", p, q.Name)
+				}
+			}
+			if st := late.PlanCacheStats(); st.Misses != before.Misses {
+				t.Errorf("pair %d: a new member missed %d plans the pair had stored", p, st.Misses-before.Misses)
+			}
 		}
 	}
 }

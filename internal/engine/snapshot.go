@@ -35,12 +35,11 @@ func (db *DB) HasFaultInjector() bool { return db.faults != nil }
 // fault-free (see HasFaultInjector). The exec hook is inherited and must
 // therefore be concurrency-safe.
 //
-// The plan-memoization cache is shared copy-on-write: the parent's private
-// write layer is frozen into the immutable layer chain, and the clone reads
-// that chain while directing its own plannings into a fresh private write
-// map — concurrent replicas never lock on the planning hot path, and a
-// child's writes never leak into the parent (AbsorbSnapshot folds them back
-// explicitly). The planner scratch arena is deliberately not inherited.
+// The clone plans into the parent's plan store (plancache.go): a plan
+// either of them stores is a hit for the other at once, and for every other
+// snapshot of the family. Only the per-DB signature maps are rebuilt, lazily,
+// against the store's shared ids. The planner scratch arena is deliberately
+// not inherited.
 //
 // Cost: O(parameters + indexes) — a few hundred map entries — independent of
 // catalog size, so snapshotting per worker per round is cheap.
@@ -59,12 +58,8 @@ func (db *DB) Snapshot() *DB {
 		queryAborts:   db.queryAborts,
 		indexFailures: db.indexFailures,
 		execHook:      db.execHook,
-		cache:         db.cache.snapshotCache(),
-		// The signature maps are mutable and never shared: the clone rebuilds
-		// them lazily. The intern table IS shared (and locked), so rebuilt
-		// contents resolve to the parent's ids and shared frozen cache
-		// entries still hit.
-		sigs:          db.sigs,
+		plans:         db.plans,
+		plansOff:      db.plansOff,
 		indexSigDirty: true,
 	}
 	for k, v := range db.indexes {
@@ -94,5 +89,4 @@ func (db *DB) AbsorbSnapshot(s *DB) {
 	db.executed += s.executed - s.base.executed
 	db.queryAborts += s.queryAborts - s.base.queryAborts
 	db.indexFailures += s.indexFailures - s.base.indexFailures
-	db.cache.absorb(&s.cache)
 }

@@ -112,6 +112,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{"benchmark": "no-such"}`, http.StatusBadRequest, CodeInvalidRequest, false},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest, CodeInvalidRequest, false},
 		{"POST", "/v1/jobs", `{"benchmark": "tpch-1", "bogus_field": 1}`, http.StatusBadRequest, CodeInvalidRequest, false},
+		{"POST", "/v1/jobs", `{"benchmark": "tpch-1", "samples": 101}`, http.StatusBadRequest, CodeInvalidRequest, false},
 		{"GET", "/v1/jobs/job-999999", "", http.StatusNotFound, CodeNotFound, false},
 		{"POST", "/v1/jobs/job-999999/cancel", "", http.StatusNotFound, CodeNotFound, false},
 		{"GET", "/v1/jobs/job-999999/stream", "", http.StatusNotFound, CodeNotFound, false},

@@ -60,7 +60,8 @@ type JobSpec struct {
 	DBMS string `json:"dbms,omitempty"`
 	// Seed drives the run's determinism (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Samples is k, the number of LLM candidates (0 = paper default).
+	// Samples is k, the number of LLM candidates (0 = paper default), at
+	// most maxSamples.
 	Samples int `json:"samples,omitempty"`
 	// Parallelism is the evaluation worker count (0/1 = sequential).
 	Parallelism int `json:"parallelism,omitempty"`
@@ -70,6 +71,13 @@ type JobSpec struct {
 	// Tenant attributes the job for rate limiting ("" = anonymous).
 	Tenant string `json:"tenant,omitempty"`
 }
+
+// maxSamples bounds JobSpec.Samples: 20× the paper's k = 5 and 5× the
+// largest k any experiment uses. A job keeps every candidate, warning and
+// LLM span for its whole life and the daemon keeps its trace afterwards,
+// about 21 KB per sample, so an unbounded k lets one spec exhaust the
+// memory every tenant's jobs share.
+const maxSamples = 100
 
 // Validate rejects specs the service cannot run.
 func (s *JobSpec) Validate() error {
@@ -97,6 +105,9 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Samples < 0 || s.Parallelism < 0 {
 		return fmt.Errorf("samples and parallelism must be >= 0")
+	}
+	if s.Samples > maxSamples {
+		return fmt.Errorf("samples must be <= %d", maxSamples)
 	}
 	return nil
 }

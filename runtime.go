@@ -114,8 +114,9 @@ type templateKey struct {
 	flavor    engine.Flavor
 }
 
-// benchTemplate is one warm built-in benchmark: a primary backend whose plan
-// cache accumulates across jobs (jobs run on snapshots of it) and the
+// benchTemplate is one warm built-in benchmark: a primary backend that jobs
+// snapshot (so every job on the template plans into the template's plan
+// store, and a plan one job stores is a hit for the others at once) and the
 // canonical interned workload, so every job on the template shares query
 // pointers and therefore memo entries. The namespace key components are
 // computed once here — both are SHA-256 digests over the full catalog and
@@ -126,14 +127,6 @@ type benchTemplate struct {
 	w         *Workload
 	catalogFP string // d.db.Catalog().Fingerprint() of the template backend
 	wdigest   string // runstate.WorkloadDigest of the canonical workload
-	// defaultOnce guards defaultSecs: the canonical workload's runtime under
-	// the template's default (never-tuned) configuration. Every job on this
-	// template needs the same number for its Result baseline, so it is
-	// computed once here instead of per admission. Safe because the template
-	// backend itself is never tuned — jobs mutate snapshots — and plan-cache
-	// absorption cannot change deterministic query times.
-	defaultOnce sync.Once
-	defaultSecs float64
 	// prompts caches generated tuning prompts per prompt.Options value.
 	// Generation is a pure function of (default configuration, workload,
 	// hardware, options) — the LLM seed plays no part — so every job on the
@@ -256,7 +249,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 // Benchmark returns a database and workload for one of the built-in
 // benchmarks, like the package-level Benchmark — but backed by the runtime's
 // warm template: the database is a snapshot sharing the template's catalog
-// and plan cache (host-CPU savings only), and the workload is the canonical
+// and plan store (host-CPU savings only), and the workload is the canonical
 // interned instance, so all jobs on this (benchmark, dbms) pair share query
 // pointers and memo entries.
 func (rt *Runtime) Benchmark(name string, dbms DBMS) (*Database, *Workload, error) {
@@ -289,37 +282,14 @@ func (rt *Runtime) Benchmark(name string, dbms DBMS) (*Database, *Workload, erro
 	return &Database{db: tm.db.Snapshot(), rt: rt, tkey: key, pristine: true}, tm.w, nil
 }
 
-// defaultWorkloadSeconds returns the workload's runtime under the default
-// configuration for one job, serving the per-template cache when the job's
-// database is a still-pristine snapshot of a runtime template and computing
-// it on the spot otherwise. Pristine snapshots replay the template's
-// deterministic engine state, so the cached number is bit-identical to what
-// every such snapshot would produce itself — and the first caller computes
-// it on its own snapshot, never on the template database, whose caches
-// other jobs may be snapshotting concurrently.
-func (rt *Runtime) defaultWorkloadSeconds(d *Database, w *Workload) float64 {
-	if d.rt == rt && d.pristine {
-		rt.mu.Lock()
-		tm := rt.templates[d.tkey]
-		rt.mu.Unlock()
-		if tm != nil && tm.w == w {
-			tm.defaultOnce.Do(func() {
-				tm.defaultSecs = d.db.WorkloadSeconds(w.queries)
-			})
-			return tm.defaultSecs
-		}
-	}
-	return d.db.WorkloadSeconds(w.queries)
-}
-
 // sharedPrompt returns the template-cached tuning prompt for this job's
 // (workload, prompt options) pair, generating and caching it on first use.
 // Nil when the job cannot share one — foreign or already-mutated database,
 // or a generation error (the per-job path will surface it properly).
 // Generation is a pure function of (default configuration, workload,
 // hardware, options), so a pristine snapshot yields the template's prompt;
-// like defaultWorkloadSeconds, the first caller generates from its own
-// snapshot so the shared template database is never touched here.
+// the first caller generates from its own snapshot so the shared template
+// database is never touched here.
 func (rt *Runtime) sharedPrompt(d *Database, w *Workload, po prompt.Options) *prompt.Result {
 	if d.rt != rt || !d.pristine {
 		return nil
@@ -375,14 +345,14 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 	if err != nil {
 		return nil, err
 	}
-	defaultSeconds := rt.defaultWorkloadSeconds(d, w)
+	defaultSeconds := d.db.WorkloadSeconds(w.queries)
 	if math.IsInf(defaultSeconds, 0) || math.IsNaN(defaultSeconds) {
 		return nil, fmt.Errorf("%w: the default configuration runs the workload in %v seconds", ErrNonFiniteCost, defaultSeconds)
 	}
 	topts := opts.toTuner()
 	topts.SharedPrompt = rt.sharedPrompt(d, w, topts.Prompt)
 	// Tuning mutates the job database from here on (configs applied, indexes
-	// created during evaluation), so its timings stop matching the template.
+	// created during evaluation), so it no longer yields the template's prompt.
 	d.pristine = false
 	topts.SharedMemo = memo
 	topts.Slots = rt.slots
@@ -431,7 +401,6 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 	if err != nil {
 		return nil, err
 	}
-	rt.adoptPlans(d)
 	out := &Result{
 		BestSeconds:        res.BestTime,
 		DefaultSeconds:     defaultSeconds,
@@ -504,25 +473,6 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 		rt.reg.Counter("runtime_jobs_total").Inc()
 	}
 	return jobID, memo, nil
-}
-
-// adoptPlans folds a finished job's plan-cache write layer back into the
-// warm template it was snapshotted from, so later jobs on the same template
-// start with those plans already cached. Content-addressed, deterministic
-// plans merge in any order; the fold is host-CPU-only by the same argument
-// as the plan cache itself. A no-op for databases not born from a template
-// of this runtime (or wrapped since, e.g. by Instrument).
-func (rt *Runtime) adoptPlans(d *Database) {
-	if d.rt != rt {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	tm := rt.templates[d.tkey]
-	if tm == nil {
-		return
-	}
-	tm.db.AbsorbSnapshot(d.db)
 }
 
 // wireFaults installs the fault injector and chaos kill points for one run —

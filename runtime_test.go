@@ -212,6 +212,62 @@ func TestRuntimeBoundedMemoChurn(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEvictionsNeverExceedMisses runs a churning JOB job stream on
+// one runtime, two jobs at a time at Parallelism 2: half the jobs on one
+// seed, three in ten on eight recurring seeds and one in five on a fresh
+// seed. Every job plans into its template's store, which builds a plan only
+// on a miss and drops each plan at most once, so the store must evict, and
+// never more plans than it built.
+func TestPlanCacheEvictionsNeverExceedMisses(t *testing.T) {
+	seed := func(i int) int64 {
+		switch i % 10 {
+		case 0, 1, 2, 3, 4:
+			return 1
+		case 5, 6, 7:
+			return 100 + int64(i%8)
+		default:
+			return 1000 + int64(i)
+		}
+	}
+	const jobs = 40
+	rt := NewRuntime(RuntimeOptions{MemoCapacity: 256})
+	defer rt.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, jobs)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < jobs; i += 2 {
+				db, w, err := rt.Benchmark("job", Postgres)
+				if err == nil {
+					_, err = rt.Tune(db, w, NewSimulatedLLM(seed(i)), runtimeOpts(seed(i), 2))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	db, _, err := rt.Benchmark("job", Postgres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := db.PlanCacheStats()
+	if st.Evictions == 0 {
+		t.Errorf("the template's store evicted nothing over %d jobs: %v", jobs, st)
+	}
+	if st.Evictions > st.Misses {
+		t.Errorf("the template's store evicted %d plans but built only %d: %v", st.Evictions, st.Misses, st)
+	}
+}
+
 // twoSchemaFixtures builds two deliberately different schemas that share
 // query names — the worst case for cross-tenant memo leakage — plus a
 // per-schema workload.
