@@ -42,13 +42,16 @@ scaling:
 
 ## fuzz: run each native fuzz target for $(FUZZTIME); go test ./... only
 ## replays their seed corpora. A failing input lands in the package's
-## testdata/fuzz/ and replays from then on.
+## testdata/fuzz/ and replays from then on. A FuzzOrder input runs the
+## unbounded reference DP, milliseconds each, so minimizing one new input
+## under the default 60 s cap could take the whole run; it gets 5 s.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/runstate/
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightedSlots$$' -fuzztime $(FUZZTIME) ./internal/core/evaluator/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceSummary$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core/schedule/
 
 ## lambdabench: the end-to-end benchmark (lambdabench/README.md), every
 ## workload at one seed; each report goes to $(OUT)/<workload>-seed<N>.json.

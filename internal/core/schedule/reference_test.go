@@ -17,6 +17,21 @@ import (
 // OrderReference exports orderReference to the external tests.
 var OrderReference = orderReference
 
+// DPExpanded runs the DP OrderDP runs on items and returns how many of its
+// 2^n subsets it expanded.
+func DPExpanded(items []Item, cost IndexCost) int {
+	sp := newIndexSpace(items, cost)
+	_, expanded := orderSets(sp.costs, sp.words, sp.bits, len(items))
+	return expanded
+}
+
+// KmeansQueries builds the index space Order builds for queries and returns
+// the k-means pass Order runs on it, for a given seed.
+func KmeansQueries(queries []*engine.Query, indexMap map[*engine.Query][]engine.IndexDef) func(seed int64) [][]int {
+	sp := querySpace(queries, indexMap, nil)
+	return func(seed int64) [][]int { return kmeans(sp, len(queries), MaxDPQueries, seed) }
+}
+
 // indexSpaceReference is the per-call index space of the reference: ids in
 // sorted-key order, one bitset slice per item.
 type indexSpaceReference struct {
@@ -167,7 +182,7 @@ func clusterReference(items []Item, k int, seed int64) []Item {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	centers := kmeansPlusPlusInit(vecs, k, rng)
+	centers := kmeansPlusPlusInitReference(vecs, k, rng)
 	assign := make([]int, len(vecs))
 	counts := make([]int, k)
 	next := make([][]float64, k)

@@ -172,13 +172,22 @@ type dpArrays struct {
 	cost, total []float64
 	prev        []int8
 	unions      []uint64
+	created     []uint64 // the greedy order's union, words long
 }
 
 var dpPool = sync.Pool{New: func() any { return new(dpArrays) }}
 
+// The subset bound's margin: a subset is skipped only when its lower bound
+// exceeds the greedy cost by more than boundRel times that cost plus
+// boundAbs. Both dwarf float rounding and the DP's 1e-12 tie window.
+const (
+	boundRel = 1e-9
+	boundAbs = 1e-9
+)
+
 // orderSets is the DP core of Algorithm 4. It orders n sets given as rows of
 // sets (words wide) over index ids costing costs, and returns the row
-// positions in an order minimizing Eq. 1.
+// positions in an order minimizing Eq. 1, and how many subsets it expanded.
 //
 // The recurrence exploits that the unnormalized objective
 // F(order) = Σ_k Σ_{j≤k} z_j satisfies
@@ -187,13 +196,35 @@ var dpPool = sync.Pool{New: func() any { return new(dpArrays) }}
 // only. This is exactly the principle-of-optimality property proved in
 // Theorem 5.2.
 //
-// Pruning. A transition S → S∪{q} costs base + z with
-// base = dpCost[S] + dpTotal[S], and it wins only when that sum is below the
-// bound dpCost[S∪{q}] − 1e-12. When every cost is ≥ 0, z ≥ 0, and rounding
-// is monotone, so base + z ≥ base: a base that is not below the bound cannot
-// win, and its z is never summed. The skip is therefore exact. A negative or
-// NaN cost turns it off for the whole call.
-func orderSets(costs []float64, words int, sets []uint64, n int) []int {
+// Pruning applies only when every cost is ≥ 0; a negative or NaN cost turns
+// it off for the whole call, and the DP expands every reached subset.
+//
+//   - Transitions. S → S∪{q} costs base + z with base = dpCost[S] + dpTotal[S],
+//     and it wins only when that sum is below dpCost[S∪{q}] − 1e-12. Since
+//     z ≥ 0 and rounding is monotone, base + z ≥ base: a base that is not
+//     below that bound cannot win, and its z is never summed.
+//   - Subsets. UB is the cost of the greedy order (each step appends the row
+//     with the smallest z), computed with the DP's own recurrence, and T_full
+//     is the cost of the union of all rows. Any completion of S, with m ≥ 1
+//     rows left, adds m prefix totals; none is below totalCost(S), and the
+//     last is T_full. So f(S) = dpCost[S] + (m−1)·dpTotal[S] + T_full bounds
+//     every order through S from below, and S is not expanded when f(S)
+//     exceeds UB by more than the margin (boundRel, boundAbs).
+//
+// The subset bound is exact. dpTotal never decreases along a transition, so
+// f never decreases along one that sets dpCost, and the last subset's
+// f(full) = dpCost[full] ≤ UB. So every subset on the returned path, and
+// every predecessor whose offer sets or ties (within 1e-12) a path subset's
+// cost, has f ≤ UB up to rounding and is expanded with the values the
+// unbounded DP gives it. A skipped subset's offers, and any offer that
+// derives from one, lose to the path's by far more than the tie window, so
+// the path, its costs and its tie-breaks are those of the unbounded DP.
+//
+// unions[S], the union of S's sets, is written when S is first reached, from
+// the reaching subset's union. Subsets are expanded in increasing order,
+// after all their predecessors, so none is read before it is written, and
+// subsets the DP never reaches cost nothing.
+func orderSets(costs []float64, words int, sets []uint64, n int) ([]int, int) {
 	prune := true
 	for _, c := range costs {
 		if !(c >= 0) {
@@ -211,6 +242,9 @@ func orderSets(costs []float64, words int, sets []uint64, n int) []int {
 	if cap(a.unions) < size*words {
 		a.unions = make([]uint64, size*words)
 	}
+	if cap(a.created) < words {
+		a.created = make([]uint64, words)
+	}
 	dpCost, dpTotal, dpPrev := a.cost[:size], a.total[:size], a.prev[:size]
 	// dpTotal[S] is totalCost(S), summed along the path that set dpCost[S]:
 	// equal for every path in exact arithmetic, but not in floating point.
@@ -221,25 +255,32 @@ func orderSets(costs []float64, words int, sets []uint64, n int) []int {
 		dpCost[mask] = math.Inf(1)
 		dpPrev[mask] = -1 // last item appended, for reconstruction
 	}
-
-	// unions[S] is the union of S's sets. It depends on the subset alone, so
-	// each is built once, from the subset without its lowest item (a smaller
-	// mask, already built) OR'd with that item's row.
 	clear(unions[:words])
-	for mask := 1; mask < size; mask++ {
-		um := mask * words
-		rest := (mask & (mask - 1)) * words
-		row := bits.TrailingZeros(uint(mask)) * words
-		for i := 0; i < words; i++ {
-			unions[um+i] = unions[rest+i] | sets[row+i]
+
+	// The subset bound: skip S when f(S) > limit. Without pruning, limit
+	// stays +Inf and nothing is skipped.
+	limit, tFull := math.Inf(1), 0.0
+	if prune {
+		ub := greedyCost(costs, words, sets, n, a.created[:words])
+		limit = ub + ub*boundRel + boundAbs
+		// The greedy order left the union of every row in created.
+		for i, w := range a.created[:words] {
+			for ; w != 0; w &= w - 1 {
+				tFull += costs[i*64+bits.TrailingZeros64(w)]
+			}
 		}
 	}
 
 	full := size - 1
-	for mask := 0; mask < size; mask++ {
+	expanded := 0
+	for mask := 0; mask < full; mask++ {
 		if math.IsInf(dpCost[mask], 1) {
 			continue
 		}
+		if left := n - bits.OnesCount(uint(mask)); dpCost[mask]+float64(left-1)*dpTotal[mask]+tFull > limit {
+			continue
+		}
+		expanded++
 		base := dpCost[mask] + dpTotal[mask]
 		um := mask * words
 		// Expand by the items not yet in the subset, in ascending order.
@@ -260,6 +301,13 @@ func orderSets(costs []float64, words int, sets []uint64, n int) []int {
 				}
 			}
 			if c := base + z; c < bound {
+				if math.IsInf(bound, 1) {
+					// First reached: its union is this subset's plus q's row.
+					nm := next * words
+					for i := 0; i < words; i++ {
+						unions[nm+i] = unions[um+i] | sets[row+i]
+					}
+				}
 				dpCost[next] = c
 				dpTotal[next] = dpTotal[mask] + z
 				dpPrev[next] = int8(q)
@@ -276,7 +324,44 @@ func orderSets(costs []float64, words int, sets []uint64, n int) []int {
 		mask &^= 1 << q
 	}
 	dpPool.Put(a)
-	return order
+	return order, expanded
+}
+
+// greedyCost is the DP objective of the greedy order over the n rows of
+// sets: each step appends the row whose z against the created set is
+// smallest (the first on ties), and the cost grows by the DP's own
+// recurrence, (cost + total) + z. created must be words long; it is cleared
+// first and holds the union of every row on return.
+func greedyCost(costs []float64, words int, sets []uint64, n int, created []uint64) float64 {
+	clear(created)
+	var cost, total float64
+	used := 0
+	for step := 0; step < n; step++ {
+		best, bestZ := -1, 0.0
+		for q := 0; q < n; q++ {
+			if used&(1<<q) != 0 {
+				continue
+			}
+			var z float64
+			row := q * words
+			for i, c := range created {
+				for d := sets[row+i] &^ c; d != 0; d &= d - 1 {
+					z += costs[i*64+bits.TrailingZeros64(d)]
+				}
+			}
+			if best < 0 || z < bestZ {
+				best, bestZ = q, z
+			}
+		}
+		cost = cost + total + bestZ
+		total += bestZ
+		used |= 1 << best
+		row := best * words
+		for i := range created {
+			created[i] |= sets[row+i]
+		}
+	}
+	return cost
 }
 
 // OrderDP is Algorithm 4: exact dynamic programming over query subsets,
@@ -294,7 +379,8 @@ func OrderDP(items []Item, cost IndexCost) []Item {
 	}
 	sp := newIndexSpace(items, cost)
 	order := make([]Item, n)
-	for i, p := range orderSets(sp.costs, sp.words, sp.bits, n) {
+	rows, _ := orderSets(sp.costs, sp.words, sp.bits, n)
+	for i, p := range rows {
 		order[i] = items[p]
 	}
 	return order
@@ -314,20 +400,11 @@ func Order(queries []*engine.Query, indexMap map[*engine.Query][]engine.IndexDef
 	if n == 0 {
 		return nil
 	}
-	m := 0
-	for _, q := range queries {
-		m += len(indexMap[q])
-	}
-	b := newSpaceBuilder(m)
-	for i, q := range queries {
-		for _, d := range indexMap[q] {
-			b.add(i, d)
-		}
-	}
-	sp := b.build(n, cost)
+	sp := querySpace(queries, indexMap, cost)
 	out := make([]*engine.Query, 0, n)
 	if n <= MaxDPQueries {
-		for _, p := range orderSets(sp.costs, sp.words, sp.bits, n) {
+		rows, _ := orderSets(sp.costs, sp.words, sp.bits, n)
+		for _, p := range rows {
 			out = append(out, queries[p])
 		}
 		return out
@@ -343,10 +420,27 @@ func Order(queries []*engine.Query, indexMap map[*engine.Query][]engine.IndexDef
 			}
 		}
 	}
-	for _, c := range orderSets(sp.costs, w, rows, len(clusters)) {
+	seq, _ := orderSets(sp.costs, w, rows, len(clusters))
+	for _, c := range seq {
 		for _, i := range clusters[c] {
 			out = append(out, queries[i])
 		}
 	}
 	return out
+}
+
+// querySpace builds the index space of queries under indexMap: query i's
+// set is row i.
+func querySpace(queries []*engine.Query, indexMap map[*engine.Query][]engine.IndexDef, cost IndexCost) indexSpace {
+	m := 0
+	for _, q := range queries {
+		m += len(indexMap[q])
+	}
+	b := newSpaceBuilder(m)
+	for i, q := range queries {
+		for _, d := range indexMap[q] {
+			b.add(i, d)
+		}
+	}
+	return b.build(len(queries), cost)
 }

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lambdatune/internal/engine"
@@ -455,13 +456,30 @@ func kmeansInput(seed int64) [][]float64 {
 	return vecs
 }
 
-// TestKmeansPlusPlusInitMatchesReference: k-means++ seeding picks bit-equal
-// centers and consumes the same random draws as the reference.
+// distinctVectors returns vecs' distinct vectors in first-seen order and,
+// for each vector of vecs, the position of its equal among them.
+func distinctVectors(vecs [][]float64) ([][]float64, []int) {
+	var distinct [][]float64
+	of := make([]int, len(vecs))
+	for i, v := range vecs {
+		of[i] = slices.IndexFunc(distinct, func(u []float64) bool { return slices.Equal(u, v) })
+		if of[i] < 0 {
+			of[i] = len(distinct)
+			distinct = append(distinct, v)
+		}
+	}
+	return distinct, of
+}
+
+// TestKmeansPlusPlusInitMatchesReference: k-means++ seeding over the
+// distinct vectors picks bit-equal centers and consumes the same random
+// draws as the per-point reference.
 func TestKmeansPlusPlusInitMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 2000; seed++ {
 		vecs := kmeansInput(seed)
 		rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		got := kmeansPlusPlusInit(vecs, MaxDPQueries, rngGot)
+		distinct, of := distinctVectors(vecs)
+		got := kmeansPlusPlusInit(distinct, of, MaxDPQueries, rngGot)
 		want := kmeansPlusPlusInitReference(vecs, MaxDPQueries, rngWant)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d centers, reference %d", seed, len(got), len(want))

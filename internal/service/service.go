@@ -501,6 +501,9 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	flush()
 	if terminal {
 		close(job.done)
+		// The job never reaches runJob, which closes the subscribers of
+		// every job that runs.
+		m.closeSubs(id)
 	}
 	return snap, nil
 }
@@ -552,12 +555,14 @@ func (m *Manager) Subscribe(id string) (<-chan string, func(), error) {
 }
 
 // publish fans one progress line out to the job's subscribers (dropping
-// lines to slow consumers rather than blocking the run).
+// lines to slow consumers rather than blocking the run). It sends under
+// m.mu, which every close of a subscriber channel holds too, so a client
+// unsubscribing mid-stream can never leave it sending on a closed channel.
+// The sends never block.
 func (m *Manager) publish(id, line string) {
 	m.mu.Lock()
-	subs := append([]chan string(nil), m.subs[id]...)
-	m.mu.Unlock()
-	for _, ch := range subs {
+	defer m.mu.Unlock()
+	for _, ch := range m.subs[id] {
 		select {
 		case ch <- line:
 		default:
@@ -565,14 +570,15 @@ func (m *Manager) publish(id, line string) {
 	}
 }
 
+// closeSubs closes the finished job's subscriber channels, under m.mu like
+// every send and every unsubscribe.
 func (m *Manager) closeSubs(id string) {
 	m.mu.Lock()
-	subs := m.subs[id]
-	delete(m.subs, id)
-	m.mu.Unlock()
-	for _, ch := range subs {
+	defer m.mu.Unlock()
+	for _, ch := range m.subs[id] {
 		close(ch)
 	}
+	delete(m.subs, id)
 }
 
 // Draining reports whether the server is shutting down (readiness).

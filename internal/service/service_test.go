@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -477,10 +478,105 @@ func TestSubscribeStreamsProgress(t *testing.T) {
 	t.Logf("streamed %d progress lines", len(lines))
 }
 
+// TestCancelQueuedClosesStream: canceling a queued job finishes it, so its
+// progress subscribers' channels close, as Subscribe promises; a /stream
+// client of the job would otherwise wait until it disconnects.
+func TestCancelQueuedClosesStream(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Workers = 1
+	m := openManager(t, cfg)
+	gate := make(chan struct{})
+	m.beforeRun = func(job *Job, ctx context.Context) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+	}
+	running, err := m.Enqueue(JobSpec{Benchmark: "tpch-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := m.Enqueue(JobSpec{Benchmark: "tpch-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, unsubscribe, err := m.Subscribe(queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsubscribe()
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	waitJob(t, m, running.ID)
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				return
+			}
+		case <-timeout:
+			t.Fatal("the canceled job's progress channel is still open")
+		}
+	}
+}
+
 func TestSeqOf(t *testing.T) {
 	for id, want := range map[string]int{"job-000042": 42, "job-7": 7, "weird": 0, "": 0} {
 		if got := seqOf(id); got != want {
 			t.Errorf("seqOf(%q) = %d, want %d", id, got, want)
 		}
 	}
+}
+
+// TestStreamDisconnectNeverPanicsJob: a client leaving
+// /v1/jobs/{id}/stream unsubscribes while the job's goroutine publishes
+// progress to it. Beside each job a goroutine subscribes and unsubscribes
+// in a loop until the job ends; every job must still succeed. A send on a
+// channel the unsubscribe has just closed panics, and the job's recover
+// turns that into a failed job ("panic: send on closed channel").
+func TestStreamDisconnectNeverPanicsJob(t *testing.T) {
+	m := openManager(t, testConfig(t))
+	const jobs = 24
+	ids := make([]string, jobs)
+	stops := make([]chan struct{}, jobs)
+	var wg sync.WaitGroup
+	for i := range ids {
+		job, err := m.Enqueue(JobSpec{Benchmark: "tpch-1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i], stops[i] = job.ID, make(chan struct{})
+		wg.Add(1)
+		go func(id string, stop <-chan struct{}) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ch, cancel, err := m.Subscribe(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-ch:
+				default:
+				}
+				cancel()
+			}
+		}(job.ID, stops[i])
+	}
+	for i, id := range ids {
+		job := waitJob(t, m, id)
+		close(stops[i])
+		if job.Status != StatusSucceeded {
+			t.Errorf("%s: status %s, error %q", id, job.Status, job.Error)
+		}
+	}
+	wg.Wait()
 }
