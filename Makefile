@@ -51,6 +51,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/runstate/
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightedSlots$$' -fuzztime $(FUZZTIME) ./internal/core/evaluator/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceSummary$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceExport$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core/schedule/
 
 ## lambdabench: the end-to-end benchmark (lambdabench/README.md), every

@@ -165,13 +165,16 @@ func ExpectedCost(order []Item, cost IndexCost) float64 {
 }
 
 // dpArrays is the DP's per-subset scratch: 2^n entries each, 208 KB for a
-// 13-item call, so calls reuse them through dpPool. Every entry a call reads
-// is written by that call first (see orderSets), so a reused buffer needs no
-// clearing beyond the DP's own initialization.
+// 13-item call, so calls reuse them through dpPool. Between calls every cost
+// entry is +Inf: a call writes a subset's cost only when it reaches the
+// subset, and puts +Inf back once it has visited it. The other entries are
+// written when their subset is first reached and read only after that, so a
+// call touches no entry of a subset it never reaches.
 type dpArrays struct {
 	cost, total []float64
 	prev        []int8
 	unions      []uint64
+	reached     []uint64 // bit S: subset S has a cost
 	created     []uint64 // the greedy order's union, words long
 }
 
@@ -220,10 +223,15 @@ const (
 // derives from one, lose to the path's by far more than the tie window, so
 // the path, its costs and its tie-breaks are those of the unbounded DP.
 //
-// unions[S], the union of S's sets, is written when S is first reached, from
-// the reaching subset's union. Subsets are expanded in increasing order,
-// after all their predecessors, so none is read before it is written, and
-// subsets the DP never reaches cost nothing.
+// A subset's entries — its cost, total, last item and unions[S], the union
+// of S's sets — are written when S is first reached (its cost was +Inf),
+// from the reaching subset's, and its bit in reached is set. Subsets are
+// visited in increasing order, after all their predecessors: the loop reads
+// reached word by word and re-reads the current word after each visit,
+// since a transition only ever sets a larger subset's bit. A visited
+// subset's cost is read for the last time there, so the visit puts +Inf
+// back, and the next call finds the cost array as this one did. Subsets the
+// DP never reaches cost nothing.
 func orderSets(costs []float64, words int, sets []uint64, n int) ([]int, int) {
 	prune := true
 	for _, c := range costs {
@@ -236,6 +244,9 @@ func orderSets(costs []float64, words int, sets []uint64, n int) ([]int, int) {
 	a := dpPool.Get().(*dpArrays)
 	if cap(a.cost) < size {
 		a.cost = make([]float64, size)
+		for i := range a.cost {
+			a.cost[i] = math.Inf(1)
+		}
 		a.total = make([]float64, size)
 		a.prev = make([]int8, size)
 	}
@@ -245,17 +256,21 @@ func orderSets(costs []float64, words int, sets []uint64, n int) ([]int, int) {
 	if cap(a.created) < words {
 		a.created = make([]uint64, words)
 	}
+	nreached := (size + 63) / 64
+	if cap(a.reached) < nreached {
+		a.reached = make([]uint64, nreached)
+	}
 	dpCost, dpTotal, dpPrev := a.cost[:size], a.total[:size], a.prev[:size]
 	// dpTotal[S] is totalCost(S), summed along the path that set dpCost[S]:
 	// equal for every path in exact arithmetic, but not in floating point.
-	// It is read only for subsets this call reached, which wrote it first.
-	unions := a.unions[:size*words]
+	// dpPrev[S] is the last item appended, for reconstruction.
+	unions, reached := a.unions[:size*words], a.reached[:nreached]
+	clear(reached)
+	reached[0] = 1
 	dpCost[0], dpTotal[0] = 0, 0
-	for mask := 1; mask < size; mask++ {
-		dpCost[mask] = math.Inf(1)
-		dpPrev[mask] = -1 // last item appended, for reconstruction
-	}
 	clear(unions[:words])
+	full := size - 1
+	dpPrev[full] = -1 // until the full set is reached
 
 	// The subset bound: skip S when f(S) > limit. Without pruning, limit
 	// stays +Inf and nothing is skipped.
@@ -271,46 +286,61 @@ func orderSets(costs []float64, words int, sets []uint64, n int) ([]int, int) {
 		}
 	}
 
-	full := size - 1
 	expanded := 0
-	for mask := 0; mask < full; mask++ {
-		if math.IsInf(dpCost[mask], 1) {
-			continue
-		}
-		if left := n - bits.OnesCount(uint(mask)); dpCost[mask]+float64(left-1)*dpTotal[mask]+tFull > limit {
-			continue
-		}
-		expanded++
-		base := dpCost[mask] + dpTotal[mask]
-		um := mask * words
-		// Expand by the items not yet in the subset, in ascending order.
-		for free := full &^ mask; free != 0; free &= free - 1 {
-			q := bits.TrailingZeros(uint(free))
-			next := mask | 1<<q
-			bound := dpCost[next] - 1e-12
-			if prune && !(base < bound) {
+	for wi := range reached {
+		// seen holds the word's subsets already visited. A transition only
+		// sets a larger subset's bit, so the lowest unseen reached bit is
+		// the next subset in increasing order.
+		var seen uint64
+		for {
+			word := reached[wi] &^ seen
+			if word == 0 {
+				break
+			}
+			seen |= word & -word
+			mask := wi*64 + bits.TrailingZeros64(word)
+			cost := dpCost[mask]
+			dpCost[mask] = math.Inf(1)
+			if mask == full {
 				continue
 			}
-			// z_q(S): the costs of q's indexes outside S's union, summed in
-			// ascending id order.
-			var z float64
-			row := q * words
-			for i := 0; i < words; i++ {
-				for d := sets[row+i] &^ unions[um+i]; d != 0; d &= d - 1 {
-					z += costs[i*64+bits.TrailingZeros64(d)]
-				}
+			if left := n - bits.OnesCount(uint(mask)); cost+float64(left-1)*dpTotal[mask]+tFull > limit {
+				continue
 			}
-			if c := base + z; c < bound {
-				if math.IsInf(bound, 1) {
-					// First reached: its union is this subset's plus q's row.
-					nm := next * words
-					for i := 0; i < words; i++ {
-						unions[nm+i] = unions[um+i] | sets[row+i]
+			expanded++
+			base := cost + dpTotal[mask]
+			um := mask * words
+			// Expand by the items not yet in the subset, in ascending order.
+			for free := full &^ mask; free != 0; free &= free - 1 {
+				q := bits.TrailingZeros(uint(free))
+				next := mask | 1<<q
+				bound := dpCost[next] - 1e-12
+				if prune && !(base < bound) {
+					continue
+				}
+				// z_q(S): the costs of q's indexes outside S's union, summed
+				// in ascending id order.
+				var z float64
+				row := q * words
+				for i := 0; i < words; i++ {
+					for d := sets[row+i] &^ unions[um+i]; d != 0; d &= d - 1 {
+						z += costs[i*64+bits.TrailingZeros64(d)]
 					}
 				}
-				dpCost[next] = c
-				dpTotal[next] = dpTotal[mask] + z
-				dpPrev[next] = int8(q)
+				if c := base + z; c < bound {
+					if math.IsInf(bound, 1) {
+						// First reached: its union is this subset's plus q's
+						// row.
+						reached[uint(next)/64] |= 1 << (uint(next) % 64)
+						nm := next * words
+						for i := 0; i < words; i++ {
+							unions[nm+i] = unions[um+i] | sets[row+i]
+						}
+					}
+					dpCost[next] = c
+					dpTotal[next] = dpTotal[mask] + z
+					dpPrev[next] = int8(q)
+				}
 			}
 		}
 	}

@@ -10,9 +10,10 @@ import (
 
 // SpanRecord is the JSONL export form of a span. IDs are assigned in
 // depth-first traversal order (parent 0 = root), so a trace file is fully
-// deterministic except for the wall_* and annots annotation fields.
-// encoding/json serializes map keys sorted, which keeps Attrs byte-stable
-// too.
+// deterministic except for the wall_* and annots annotation fields. Map keys
+// are written sorted, which keeps Attrs byte-stable too. Tracer.WriteJSONL
+// writes these lines straight from the spans (encode.go); the struct is the
+// form ReadJSONL parses them back into.
 type SpanRecord struct {
 	ID          int            `json:"id"`
 	Parent      int            `json:"parent"`
@@ -35,11 +36,6 @@ type EventRecord struct {
 	Annots map[string]any `json:"annots,omitempty"`
 }
 
-// WriteJSONL writes the tracer's records to w, one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, t.Records())
-}
-
 // WriteFile drains the tracer to a JSONL trace file at path.
 func (t *Tracer) WriteFile(path string) error {
 	f, err := os.Create(path)
@@ -55,17 +51,6 @@ func (t *Tracer) WriteFile(path string) error {
 		werr = e
 	}
 	return werr
-}
-
-// WriteJSONL writes records to w, one JSON object per line.
-func WriteJSONL(w io.Writer, recs []SpanRecord) error {
-	enc := json.NewEncoder(w)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadJSONL parses a JSONL trace stream back into records. Blank lines are

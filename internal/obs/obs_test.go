@@ -423,8 +423,9 @@ func TestEndIdempotent(t *testing.T) {
 }
 
 // TestTracerSummarizeMatchesRecords pins the direct span-walk Summarize to
-// the record-based aggregation: same spans, same events, same phase buckets
-// in the same order, including the open-span and inverted-interval clamps.
+// the record-based aggregation, bit for bit: same spans, same events, same
+// phase buckets in the same order with equal sums, including the open-span
+// and inverted-interval clamps.
 func TestTracerSummarizeMatchesRecords(t *testing.T) {
 	tr := NewTracer()
 	var tick int64
@@ -441,6 +442,15 @@ func TestTracerSummarizeMatchesRecords(t *testing.T) {
 	ix := tr.Start(run, "index.build", 70)
 	ix.End(68)                    // inverted interval: export clamps end to start
 	tr.Start(run, "schedule", 70) // left open: virt_end == virt_start
+	// Queries of two candidates created interleaved, as parallel workers
+	// create them: summed in creation order (q, a, b, c) their durations
+	// round to 1e16+10, in the export's depth-first order (q, b, c, a) to
+	// 1e16+12.
+	c1 := tr.Start(run, "candidate", 0)
+	c2 := tr.Start(run, "candidate", 0)
+	tr.Start(c2, "query", 0).End(1e16)
+	tr.Start(c1, "query", 0).End(0.75)
+	tr.Start(c1, "query", 0).End(0.75)
 	run.End(70)
 
 	got := tr.Summarize()
@@ -454,9 +464,7 @@ func TestTracerSummarizeMatchesRecords(t *testing.T) {
 	}
 	for i := range want.Phases {
 		g, w := got.Phases[i], want.Phases[i]
-		if g.Phase != w.Phase || g.Spans != w.Spans ||
-			math.Abs(g.VirtSeconds-w.VirtSeconds) > 1e-12 ||
-			math.Abs(g.WallSeconds-w.WallSeconds) > 1e-12 {
+		if g != w {
 			t.Errorf("phase %d = %+v, want %+v", i, g, w)
 		}
 	}

@@ -110,32 +110,33 @@ func Summarize(recs []SpanRecord) Summary {
 }
 
 // Summarize condenses the tracer's current spans. It walks the spans
-// directly rather than going through Records: the summary needs no IDs, no
-// tree order and no attribute maps, and a full export per traced run is
-// measurable overhead on a busy daemon (every finished job summarizes its
-// trace for Result.Telemetry). The aggregation is identical to
-// Summarize(t.Records()).
+// directly rather than going through Records: the summary needs no IDs and
+// no attribute maps, and every finished daemon job summarizes its trace for
+// Result.Telemetry. It visits them in the export's depth-first order, not in
+// creation order, which parallel evaluation workers interleave: float sums
+// in creation order differ in their last bits between identical runs, and
+// in export order they equal Summarize(t.Records())'s bit for bit.
 func (t *Tracer) Summarize() Summary {
 	if t == nil {
 		return Summary{}
 	}
 	views, extras := t.snapshot()
+	x := getExporter()
+	defer putExporter(x)
+	ord, _ := x.walk(t, views)
 	pt := phaseTotals{}
-	var s Summary
-	for _, ex := range extras {
-		s.Events += len(ex.events)
-	}
-	for _, view := range views {
-		s.Spans += len(view)
-		for i := range view {
-			sp := &view[i]
-			sp.mu.Lock()
-			name := sp.name
-			virtStart, virtEnd := sp.virtStart, sp.virtEnd
-			wallStartNS, wallEndNS := sp.wallStartNS, sp.wallEndNS
-			sp.mu.Unlock()
-			pt.add(name, virtStart, virtEnd, wallStartNS, wallEndNS)
+	s := Summary{Spans: len(ord)}
+	for _, i := range ord {
+		sp := spanAt(views, i)
+		if len(extras) > 0 {
+			s.Events += len(extras[sp].events)
 		}
+		sp.mu.Lock()
+		name := sp.name
+		virtStart, virtEnd := sp.virtStart, sp.virtEnd
+		wallStartNS, wallEndNS := sp.wallStartNS, sp.wallEndNS
+		sp.mu.Unlock()
+		pt.add(name, virtStart, virtEnd, wallStartNS, wallEndNS)
 	}
 	s.Phases = pt.sorted()
 	return s

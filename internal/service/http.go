@@ -139,12 +139,12 @@ func toAPIError(err error) (int, *APIError) {
 	}
 }
 
+// writeJSON sends v as compact JSON: every client decodes it, and indenting
+// the job list costs more CPU than encoding it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -185,11 +185,13 @@ func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	jobs, next := m.ListPage(q.Get("after"), limit)
-	resp := map[string]any{"jobs": jobs}
-	if next != "" {
-		resp["next_after"] = next
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, listResponse{Jobs: jobs, NextAfter: next})
+}
+
+// listResponse is the GET /v1/jobs body.
+type listResponse struct {
+	Jobs      []*Job `json:"jobs"`
+	NextAfter string `json:"next_after,omitempty"`
 }
 
 func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -252,11 +254,12 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the job's span trace as JSONL — the exact format
-// `lambdatune trace-summary` and obs.ReadJSONL consume. A running job gets
-// its schema-valid partial trace (DFS order over the spans recorded so far);
-// the Lambdatune-Trace header distinguishes partial from complete.
+// `lambdatune trace-summary` and obs.ReadJSONL consume, encoded straight
+// from the job's tracer. A running job gets its schema-valid partial trace
+// (DFS order over the spans recorded so far); the Lambdatune-Trace header
+// distinguishes partial from complete.
 func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
-	recs, status, err := m.TraceRecords(r.PathValue("id"))
+	tr, _, status, err := m.traceOf(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -269,7 +272,7 @@ func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Lambdatune-Trace", "partial")
 	}
 	w.WriteHeader(http.StatusOK)
-	_ = obs.WriteJSONL(w, recs)
+	_ = tr.WriteJSONL(w)
 }
 
 // handleTraceSummary serves the trace's per-phase cost table as JSON.
@@ -283,8 +286,8 @@ func (m *Manager) handleTraceSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 // traceStreamPoll is how often the trace stream looks for new spans. Spans
-// are emitted in creation order with stable IDs (obs.CreationRecords), so
-// every chunk extends a well-formed trace; the canonical DFS-ordered export
+// are emitted in creation order with stable IDs (obs.Tracer.WriteCreationJSONL),
+// so every chunk extends a well-formed trace; the canonical DFS-ordered export
 // from /trace remains the authoritative completed form.
 const traceStreamPoll = 50 * time.Millisecond
 
@@ -304,12 +307,13 @@ func (m *Manager) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sent := 0
 	emit := func() {
-		recs := tr.CreationRecords(sent)
-		if len(recs) == 0 {
+		// sent advances by the lines actually written, so a line the encoder
+		// stopped before is tried again, not skipped.
+		n, _ := tr.WriteCreationJSONL(w, sent)
+		if n == 0 {
 			return
 		}
-		sent += len(recs)
-		_ = obs.WriteJSONL(w, recs)
+		sent += n
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -13,19 +13,6 @@ import (
 // jobs carry no spans). Distinct from ErrNotFound — the job itself is real.
 var ErrTraceUnavailable = errors.New("service: trace unavailable")
 
-// TraceRecords returns the job's span records in canonical depth-first order
-// plus the job status at snapshot time. For a running job the records are a
-// partial trace — a schema-valid prefix of the run so far; for a completed
-// job they are the full export. ErrNotFound for unknown jobs,
-// ErrTraceUnavailable (HTTP 409) when the job exists but holds no trace.
-func (m *Manager) TraceRecords(id string) ([]obs.SpanRecord, JobStatus, error) {
-	tr, _, status, err := m.traceOf(id)
-	if err != nil {
-		return nil, status, err
-	}
-	return tr.Records(), status, nil
-}
-
 // TraceSummary is the JSON form of a job's per-phase cost table — the same
 // breakdown `lambdatune trace-summary` renders, served by
 // GET /v1/jobs/{id}/summary.
@@ -39,14 +26,16 @@ type TraceSummary struct {
 	Phases  []obs.PhaseCost `json:"phases"`
 }
 
-// TraceSummary condenses the job's trace into its per-phase cost breakdown.
-// Same availability contract as TraceRecords.
+// TraceSummary condenses the job's trace into its per-phase cost breakdown:
+// a running job's spans so far, or a finished job's full trace, summed in the
+// export's depth-first order. ErrNotFound for unknown jobs,
+// ErrTraceUnavailable (HTTP 409) when the job exists but holds no trace.
 func (m *Manager) TraceSummary(id string) (*TraceSummary, error) {
-	recs, status, err := m.TraceRecords(id)
+	tr, _, status, err := m.traceOf(id)
 	if err != nil {
 		return nil, err
 	}
-	s := obs.Summarize(recs)
+	s := tr.Summarize()
 	return &TraceSummary{
 		JobID:   id,
 		Status:  status,

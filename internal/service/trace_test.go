@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,13 +187,14 @@ func TestTraceRetentionEviction(t *testing.T) {
 	cfg.Metrics = obs.NewRegistry()
 	m := openManager(t, cfg)
 	srv := newServerFor(t, m)
+	c := &Client{BaseURL: srv.URL}
 
 	first, err := m.Enqueue(JobSpec{Benchmark: "tpch-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, m, first.ID)
-	if _, _, err := m.TraceRecords(first.ID); err != nil {
+	if _, err := c.Trace(first.ID); err != nil {
 		t.Fatalf("first trace should be retained: %v", err)
 	}
 
@@ -203,7 +205,7 @@ func TestTraceRetentionEviction(t *testing.T) {
 	waitJob(t, m, second.ID)
 
 	assertTraceErr(t, srv, first.ID, http.StatusConflict, CodeTraceUnavailable)
-	if _, _, err := m.TraceRecords(second.ID); err != nil {
+	if _, err := c.Trace(second.ID); err != nil {
 		t.Fatalf("second trace should be retained: %v", err)
 	}
 	snap := cfg.Metrics.Snapshot()
@@ -281,7 +283,7 @@ func TestTraceStreamFollowsLiveJob(t *testing.T) {
 	if got.Status != StatusSucceeded {
 		t.Fatalf("job status = %s (%s)", got.Status, got.Error)
 	}
-	recs, _, err := m.TraceRecords(job.ID)
+	recs, err := (&Client{BaseURL: srv.URL}).Trace(job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +292,108 @@ func TestTraceStreamFollowsLiveJob(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Error("stream emitted no spans")
+	}
+}
+
+// TestTraceReadsWhileJobRuns reads a running job's trace from several
+// goroutines while the run records spans: /trace, /summary and
+// /trace/stream through the handler, as concurrent clients reach it. Every
+// partial export must parse and be schema-valid, and the stream must end
+// with the final trace's span count. Run it under -race.
+func TestTraceReadsWhileJobRuns(t *testing.T) {
+	m, _ := newTestServer(t)
+	h := m.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	job, err := m.Enqueue(JobSpec{Benchmark: "job", Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "/v1/jobs/" + job.ID
+	done := make(chan struct{})
+	var partial atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := get(base + "/trace")
+				if rec.Code == http.StatusConflict {
+					continue // not running yet
+				}
+				recs, err := obs.ReadJSONL(rec.Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rec.Header().Get("Lambdatune-Trace") == "partial" {
+					partial.Add(1)
+				}
+				if len(recs) > 0 {
+					if err := obs.ValidateRecords(recs); err != nil {
+						t.Errorf("partial trace of %d spans: %v", len(recs), err)
+						return
+					}
+				}
+				var sum TraceSummary
+				if rec := get(base + "/summary"); rec.Code == http.StatusOK {
+					if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var streamed []obs.SpanRecord
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			rec := get(base + "/trace/stream")
+			if rec.Code == http.StatusConflict {
+				select {
+				case <-done:
+					t.Error("the stream never found the trace")
+					return
+				default:
+					continue
+				}
+			}
+			var err error
+			if streamed, err = obs.ReadJSONL(rec.Body); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+	}()
+	if got := waitJob(t, m, job.ID); got.Status != StatusSucceeded {
+		t.Fatalf("job status = %s (%s)", got.Status, got.Error)
+	}
+	close(done)
+	wg.Wait()
+
+	final, err := obs.ReadJSONL(get(base + "/trace").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(final) {
+		t.Errorf("stream emitted %d spans, final trace has %d", len(streamed), len(final))
+	}
+	if err := obs.ValidateRecords(streamed); err != nil {
+		t.Errorf("streamed trace: %v", err)
+	}
+	if partial.Load() == 0 {
+		t.Error("no read saw the running job's partial trace")
 	}
 }
 

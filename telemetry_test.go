@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -119,6 +120,51 @@ func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 			t.Errorf("parallelism=%d: summaries differ:\n%s\nvs\n%s", p, sum1, sum2)
 		}
 	}
+}
+
+// TestTelemetryPhaseTotalsRepeatable: identical runs at Parallelism 4 report
+// bit-identical Telemetry phase totals. Parallel evaluation workers
+// interleave span creation, so totals summed in creation order move in their
+// last bits between repeats of most of these scenarios; summed in the
+// export's depth-first order they cannot. Wall seconds are host readings and
+// stay out of the comparison.
+func TestTelemetryPhaseTotalsRepeatable(t *testing.T) {
+	for _, bench := range []string{"tpch-1", "tpcds-1", "job"} {
+		for seed := int64(1); seed <= 5; seed++ {
+			var first *Telemetry
+			for run := 0; run < 6; run++ {
+				db, w, err := Benchmark(bench, Postgres)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := DefaultOptions()
+				opts.Seed = seed
+				opts.Evaluation.Parallelism = 4
+				opts.Observability.Trace = NewTrace()
+				res, err := db.Tune(w, NewSimulatedLLM(seed), opts)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", bench, seed, err)
+				}
+				if first == nil {
+					first = res.Telemetry
+					continue
+				}
+				if got := phaseTotals(res.Telemetry); got != phaseTotals(first) {
+					t.Fatalf("%s seed %d, run %d: phase totals moved:\n got  %s\n want %s",
+						bench, seed, run+1, got, phaseTotals(first))
+				}
+			}
+		}
+	}
+}
+
+// phaseTotals renders a summary's deterministic part, floats as their bits.
+func phaseTotals(tel *Telemetry) string {
+	s := fmt.Sprintf("spans=%d events=%d", tel.Spans, tel.Events)
+	for _, p := range tel.Phases {
+		s += fmt.Sprintf(" %s:%d:%#x", p.Phase, p.Spans, math.Float64bits(p.VirtSeconds))
+	}
+	return s
 }
 
 // summaryNoWall strips the trailing wall-ms column, the only nondeterministic
