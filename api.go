@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/backend/instrumented"
@@ -132,10 +133,18 @@ type Database struct {
 	pristine bool
 }
 
-// NewDatabase creates a database from a schema description.
+// NewDatabase creates a database from a schema description. Table names are
+// case-insensitive, so two tables whose names differ only in case are an
+// error. The tables are read, never modified.
 func NewDatabase(dbms DBMS, name string, tables []Table, hw Hardware) (*Database, error) {
 	ts := make([]engine.Table, len(tables))
+	seen := make(map[string]string, len(tables))
 	for i, t := range tables {
+		key := strings.ToLower(t.Name)
+		if prev, ok := seen[key]; ok {
+			return nil, fmt.Errorf("lambdatune: duplicate table %q (also declared as %q)", t.Name, prev)
+		}
+		seen[key] = t.Name
 		cols := make([]engine.Column, len(t.Columns))
 		for j, c := range t.Columns {
 			cols[j] = engine.Column{Name: c.Name, WidthBytes: c.WidthBytes, Distinct: c.Distinct}

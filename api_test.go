@@ -117,6 +117,35 @@ func TestNewDatabaseBadSchema(t *testing.T) {
 	}
 }
 
+// TestNewDatabaseLeavesTablesUnchanged asserts NewDatabase normalizes key
+// names in its own copies, never in the caller's slices.
+func TestNewDatabaseLeavesTablesUnchanged(t *testing.T) {
+	tables := []Table{{Name: "Orders", Rows: 100, Columns: []Column{
+		{Name: "ID", WidthBytes: 8, Distinct: 100},
+		{Name: "Customer_ID", WidthBytes: 8, Distinct: 10},
+	}, PrimaryKey: []string{"ID"}, ForeignKeys: []string{"Customer_ID"}}}
+	if _, err := NewDatabase(Postgres, "shop", tables, DefaultHardware); err != nil {
+		t.Fatal(err)
+	}
+	got := tables[0]
+	if got.Name != "Orders" || got.Columns[0].Name != "ID" || got.PrimaryKey[0] != "ID" || got.ForeignKeys[0] != "Customer_ID" {
+		t.Errorf("NewDatabase rewrote the caller's table: %+v", got)
+	}
+}
+
+// TestNewDatabaseDuplicateTable asserts two tables whose names differ only
+// in case are rejected, naming the table, instead of collapsing into one.
+func TestNewDatabaseDuplicateTable(t *testing.T) {
+	cols := []Column{{Name: "c", WidthBytes: 4, Distinct: 1}}
+	_, err := NewDatabase(Postgres, "dup", []Table{
+		{Name: "t", Rows: 10, Columns: cols},
+		{Name: "T", Rows: 20, Columns: cols},
+	}, DefaultHardware)
+	if err == nil || !strings.Contains(err.Error(), `"T"`) {
+		t.Errorf("duplicate table: err = %v, want an error naming \"T\"", err)
+	}
+}
+
 func TestApplyScript(t *testing.T) {
 	db, w, err := Benchmark("tpch-1", Postgres)
 	if err != nil {

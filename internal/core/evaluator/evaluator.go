@@ -112,7 +112,7 @@ func (e *Evaluator) startSpan(name string, virt float64, attrs ...obs.Attr) *obs
 func New(db backend.Backend) *Evaluator {
 	e := &Evaluator{DB: db, UseScheduler: true, LazyIndexes: true, Seed: 1}
 	if db.PlanCacheEnabled() {
-		e.Memo = NewMemo()
+		e.Memo = NewMemo("", nil, 0)
 	}
 	return e
 }

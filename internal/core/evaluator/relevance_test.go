@@ -130,7 +130,7 @@ func TestQueryIndexMapMatchesReference(t *testing.T) {
 		if err := sameRelevance(queries, cfg, QueryIndexMap(queries, cfg)); err != nil {
 			t.Fatalf("%s: QueryIndexMap: %v", cfg.ID, err)
 		}
-		memo, _ := NewMemo().queryIndexMap(queries, cfg, "")
+		memo, _ := NewMemo("", nil, 0).queryIndexMap(queries, cfg, "")
 		if err := sameRelevance(queries, cfg, memo); err != nil {
 			t.Fatalf("%s: memo: %v", cfg.ID, err)
 		}

@@ -89,7 +89,7 @@ type Options struct {
 	DecorateState func(*runstate.State)
 
 	// SharedMemo, when set, replaces the run-private evaluation memo with a
-	// Runtime-owned cross-job memo (see evaluator.NewSharedMemo). It is
+	// Runtime namespace's cross-job memo (see evaluator.Memo). It is
 	// honored only when the backend's plan-cache toggle would have built a
 	// private memo anyway, preserving the one-switch memoization rule.
 	// Memo hits change host CPU time only, never virtual-clock outcomes.

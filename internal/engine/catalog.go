@@ -13,6 +13,7 @@ package engine
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -81,13 +82,17 @@ type Catalog struct {
 	totalBytes int64
 }
 
-// NewCatalog builds a catalog from table definitions. Table and column names
-// are normalized to lower case.
+// NewCatalog builds a catalog from table definitions. Table, column and key
+// names are normalized to lower case in copies; the caller's slices stay as
+// given.
 func NewCatalog(name string, tables []Table) *Catalog {
 	c := &Catalog{Name: name, tables: make(map[string]*Table, len(tables))}
 	for i := range tables {
 		t := tables[i]
 		t.Name = strings.ToLower(t.Name)
+		t.Columns = slices.Clone(t.Columns)
+		t.PrimaryKey = slices.Clone(t.PrimaryKey)
+		t.ForeignKeys = slices.Clone(t.ForeignKeys)
 		for j := range t.Columns {
 			t.Columns[j].Name = strings.ToLower(t.Columns[j].Name)
 			if t.Columns[j].Distinct < 1 {

@@ -43,11 +43,12 @@ type RuntimeOptions struct {
 	// equal shares.
 	TenantWeights map[string]int
 
-	// MemoCapacity bounds each namespace's schedule-order memo to this many
-	// entries (0 = the built-in default, 4096). The segmented-LRU lifecycle
-	// evicts cold entries individually once the bound is hit; sizing it below
-	// the cross-job working set trades recompute for memory, never
-	// correctness.
+	// MemoCapacity bounds each namespace memo's schedule orders to exactly
+	// this many entries (0 = the built-in default, 4096). The segmented-LRU
+	// lifecycle evicts cold entries individually once the bound is hit;
+	// sizing it below the cross-job working set trades recompute for memory,
+	// never correctness. The relevance layer has its own fixed bound of 64
+	// configurations.
 	MemoCapacity int
 
 	// TenantBreakerThreshold is the number of consecutive failed LLM calls
@@ -169,8 +170,9 @@ type RuntimeStats struct {
 	MemoLookups      uint64
 	MemoHits         uint64
 	MemoCrossJobHits uint64
-	// MemoEvictions counts entries the segmented-LRU memo lifecycles
-	// evicted across all namespaces.
+	// MemoEvictions counts memo entries dropped across all namespaces: each
+	// order the segmented LRU evicted, plus each query's relevance entry of
+	// a configuration the relevance layer dropped.
 	MemoEvictions uint64
 	// MemoHitRetention is the fraction of schedule-memo hits served from
 	// protected (re-hit) entries — how well the lifecycle keeps the hot set
@@ -463,7 +465,7 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 	if memo == nil {
 		ns := fmt.Sprintf("%s_%s_%s", strings.ToLower(nsKey.flavor.String()),
 			nsKey.catalog[:8], nsKey.workload[:8])
-		memo = evaluator.NewSharedMemo(ns, rt.reg, rt.opts.MemoCapacity)
+		memo = evaluator.NewMemo(ns, rt.reg, rt.opts.MemoCapacity)
 		rt.namespaces[nsKey] = memo
 		if rt.reg != nil {
 			rt.reg.Gauge("runtime_memo_namespaces").Set(float64(len(rt.namespaces)))
