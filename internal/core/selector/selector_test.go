@@ -192,3 +192,34 @@ func TestSelectAdaptiveTimeoutReducesClock(t *testing.T) {
 		t.Errorf("adaptive timeouts slower: %v vs %v", with, without)
 	}
 }
+
+// TestSelectKeepsCompletedSurvivor: a candidate that has already completed
+// the workload (a racing hand-off or a resume) but sits behind the round's
+// first completer in throughput order must still compete in the final pass.
+// b leads by throughput after one 1 ms query and completes first; a, done
+// in 1 s, is the winner at every worker count.
+func TestSelectKeepsCompletedSurvivor(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		db, qs := setup(t)
+		a, b := cfg("a", nil), cfg("b", nil)
+		done := evaluator.NewConfigMeta()
+		for _, q := range qs {
+			done.Completed[q.Name] = true
+		}
+		done.Time, done.IsComplete = 1.0, true
+		started := evaluator.NewConfigMeta()
+		started.Completed[qs[0].Name] = true
+		started.Time = 0.001
+		opts := DefaultOptions()
+		opts.Parallelism = p
+		s := New(evaluator.New(db), qs, opts)
+		s.Resume(&RoundState{Timeout: 1e9, Metas: map[string]*evaluator.ConfigMeta{"a": done, "b": started}})
+		best, err := s.Select(context.Background(), []*engine.Config{a, b})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
+		if best != a {
+			t.Errorf("parallelism %d: selected %v (b took %.4gs), want a (1s)", p, best, s.Metas[b].Time)
+		}
+	}
+}
