@@ -9,9 +9,11 @@ import (
 	"lambdatune/internal/obs"
 )
 
-// Pool evaluates the candidate configurations of one selector round
-// concurrently, one backend snapshot per worker — modeling the N parallel
-// DBMS replicas the paper's EC2 testbed would allow (DESIGN.md §7).
+// Pool evaluates the candidate configurations of one selector round. With
+// more than one worker it runs them concurrently, one backend snapshot per
+// worker — modeling the N parallel DBMS replicas the paper's EC2 testbed
+// would allow (DESIGN.md §7). With one worker it is the primary instance
+// itself: tasks run in order on the primary evaluator, with no snapshot.
 //
 // Determinism: tasks are assigned statically (task i runs on worker i mod
 // workers) and every worker processes its tasks sequentially on its own
@@ -34,10 +36,13 @@ type Pool struct {
 }
 
 // NewPool builds a pool that evaluates with e's settings on e's database.
-// Workers below 1 mean 1.
+// Workers 1 or fewer: the primary itself.
 func NewPool(e *Evaluator, workers int) *Pool {
-	return &Pool{ev: e, workers: workers}
+	return &Pool{ev: e, workers: max(workers, 1)}
 }
+
+// Workers is the pool's width; 1 means the primary itself.
+func (p *Pool) Workers() int { return p.workers }
 
 // Task is one candidate evaluation of a round: run Config against the
 // not-yet-completed Queries with the per-configuration Timeout, updating
@@ -58,27 +63,28 @@ type Task struct {
 	FreeIndexes map[string]bool
 }
 
-// Run evaluates one round's tasks. It returns the round's elapsed virtual
-// time — the max over workers — after advancing the primary clock by it and
-// folding the snapshots' operation counters back into the primary. A worker
-// whose Apply fails marks the task's meta incomplete and moves on, exactly as
-// the sequential path does.
+// Run evaluates one round's tasks and returns the round's elapsed virtual
+// time. On one worker the tasks run in order on the primary, whose clock
+// advances as they run. On more, the elapsed time is the max over workers:
+// Run advances the primary clock by it and folds the snapshots' operation
+// counters back into the primary. A task whose Apply fails has its meta
+// marked incomplete, and the worker moves on.
 //
-// Cancelling ctx stops every worker before its next query execution; Run
-// still merges the partial progress (metas stay resumable) and returns
-// ctx.Err().
+// Cancelling ctx stops every worker before its next query execution and
+// before its next task; Run still keeps the partial progress (metas stay
+// resumable) and returns ctx.Err().
 func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
+	if p.workers == 1 {
+		clock := p.ev.DB.Clock()
+		start := clock.Now()
+		runTasks(ctx, p.ev, tasks, 0, 1)
+		return clock.Now() - start, ctx.Err()
+	}
 	if len(tasks) == 0 {
 		return 0, ctx.Err()
 	}
 	primary := p.ev.DB
-	workers := p.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(p.workers, len(tasks))
 
 	snaps := make([]backend.Backend, workers)
 	elapsed := make([]float64, workers)
@@ -94,12 +100,7 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 		go func(w int, ev *Evaluator) {
 			defer wg.Done()
 			start := ev.DB.Clock().Now()
-			for i := w; i < len(tasks); i += workers {
-				if ctx.Err() != nil {
-					break
-				}
-				runTask(ctx, ev, tasks[i], w)
-			}
+			runTasks(ctx, ev, tasks, w, workers)
 			elapsed[w] = ev.DB.Clock().Now() - start
 		}(w, &ev)
 	}
@@ -118,11 +119,19 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 	return roundElapsed, ctx.Err()
 }
 
+// runTasks runs worker's share of tasks — tasks[worker], tasks[worker+step],
+// … — in order on ev, stopping before the next task once ctx is done.
+func runTasks(ctx context.Context, ev *Evaluator, tasks []Task, worker, step int) {
+	for i := worker; i < len(tasks) && ctx.Err() == nil; i += step {
+		runTask(ctx, ev, tasks[i], worker)
+	}
+}
+
 // runTask applies and evaluates one candidate, marking unusable
-// configurations permanently incomplete like the sequential selector path.
-// The task's candidate span (if any) is owned by this worker from here on:
-// it gets the worker id, the evaluation children, the verdict attributes,
-// and its End — all stamped from the worker's own (replica) clock.
+// configurations permanently incomplete. The task's candidate span (if any)
+// is owned by this worker from here on: it gets the worker id, the
+// evaluation children, the verdict attributes, and its End — all stamped
+// from the worker's own clock (a replica's, or the primary's on one worker).
 func runTask(ctx context.Context, ev *Evaluator, t Task, worker int) {
 	clock := ev.DB.Clock()
 	t.Span.SetAttrs(obs.Int("worker", worker))

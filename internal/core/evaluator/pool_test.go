@@ -51,7 +51,8 @@ func runPool(t *testing.T, workers int) (map[string]*ConfigMeta, float64, *backe
 
 // TestPoolMatchesSequentialResults pins per-candidate determinism: every
 // worker count produces the exact same runtimes and completion sets as
-// workers=1, because each candidate runs sequentially on its own snapshot.
+// workers=1 (the primary itself), because each candidate runs sequentially
+// on its own instance.
 // Run under -race this doubles as the pool's data-race test.
 func TestPoolMatchesSequentialResults(t *testing.T) {
 	base, _, _ := runPool(t, 1)
@@ -102,7 +103,7 @@ func TestPoolAbsorbsCounters(t *testing.T) {
 }
 
 // TestPoolBadConfigMarkedIncomplete: an unusable configuration is marked
-// permanently incomplete, like the sequential path does.
+// permanently incomplete on replicas, as on the primary.
 func TestPoolBadConfigMarkedIncomplete(t *testing.T) {
 	db, w := setup(t)
 	pool := NewPool(New(db), 2)
@@ -124,13 +125,13 @@ func TestPoolBadConfigMarkedIncomplete(t *testing.T) {
 	}
 }
 
-// TestPoolCancellation: a cancelled context stops the workers, returns the
-// context error, and leaves partial progress merged and resumable.
+// TestPoolCancellation: on one worker the pool runs on the primary itself.
+// A cancelled context stops it before the next query and the next task,
+// returns the context error, and leaves partial progress resumable.
 func TestPoolCancellation(t *testing.T) {
 	db, w := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel from inside the engine after a few executions; the hook is
-	// inherited by worker snapshots.
+	// Cancel from inside the engine after a few executions.
 	var execs int
 	db.SetExecHook(func(q *engine.Query, seconds float64) {
 		execs++
@@ -138,16 +139,18 @@ func TestPoolCancellation(t *testing.T) {
 			cancel()
 		}
 	})
-	// One task per worker slot so the hook counter is only touched by one
-	// worker (pool workers clamp to len(tasks); with workers=1 the hook is
-	// race-free).
 	pool := NewPool(New(db), 1)
-	m := NewConfigMeta()
+	m, next := NewConfigMeta(), NewConfigMeta()
+	cs := poolConfigs(2)
 	_, err := pool.Run(ctx, []Task{
-		{Config: poolConfigs(1)[0], Queries: w.Queries, Timeout: math.Inf(1), Meta: m},
+		{Config: cs[0], Queries: w.Queries, Timeout: math.Inf(1), Meta: m},
+		{Config: cs[1], Queries: w.Queries, Timeout: math.Inf(1), Meta: next},
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(next.Completed) != 0 || next.IsComplete {
+		t.Error("the task after the cancel ran")
 	}
 	if m.IsComplete {
 		t.Error("cancelled evaluation reported complete")

@@ -1,6 +1,8 @@
 package selector
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"lambdatune/internal/core/evaluator"
@@ -114,5 +116,88 @@ func TestResumeRestoresTimeoutSchedule(t *testing.T) {
 	if st.Timeout <= opts.InitialTimeout {
 		t.Fatalf("checkpoint timeout %v should exceed the initial %v",
 			st.Timeout, opts.InitialTimeout)
+	}
+}
+
+// TestCanceledRoundStopsEvaluating: on one worker, a round canceled while a
+// candidate runs stops there. No later candidate is applied or evaluated,
+// so with eager index creation none of them builds an index: the virtual
+// clock and every candidate's IndexTime stay where the canceled query left
+// them, and the checkpoint carries no extra charge into a resumed run.
+func TestCanceledRoundStopsEvaluating(t *testing.T) {
+	db, qs := setup(t)
+	candidates := []*engine.Config{
+		cfg("c1", map[string]string{"work_mem": "64MB"}, engine.NewIndexDef("lineitem", "l_partkey")),
+		cfg("c2", map[string]string{"work_mem": "256MB"}, engine.NewIndexDef("orders", "o_custkey")),
+		cfg("c3", map[string]string{"work_mem": "1GB"}, engine.NewIndexDef("partsupp", "ps_suppkey")),
+		cfg("c4", map[string]string{"shared_buffers": "8GB"}, engine.NewIndexDef("customer", "c_nationkey")),
+	}
+	ev := evaluator.New(db)
+	ev.LazyIndexes = false
+	s := New(ev, qs, DefaultOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		execs     int
+		wantClock float64
+		wantIndex = map[string]float64{}
+	)
+	db.SetExecHook(func(q *engine.Query, seconds float64) {
+		if execs++; execs != 5 {
+			return
+		}
+		cancel()
+		// The query in flight still completes; nothing runs after it.
+		wantClock = db.Clock().Now() + seconds
+		for _, c := range candidates {
+			wantIndex[c.ID] = s.Metas[c].IndexTime
+		}
+	})
+	if _, err := s.Select(ctx, candidates); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if execs != 5 {
+		t.Fatalf("%d query executions, want 5 (none after the cancel)", execs)
+	}
+	if got := db.Clock().Now(); got != wantClock {
+		t.Errorf("clock %v after the cancel, want %v", got, wantClock)
+	}
+	for _, c := range candidates {
+		if got := s.Checkpoint().Metas[c.ID].IndexTime; got != wantIndex[c.ID] {
+			t.Errorf("%s: IndexTime %v in the checkpoint, want %v", c.ID, got, wantIndex[c.ID])
+		}
+	}
+}
+
+// TestCanceledReplicaRoundFoldsNothing: on replicas a canceled round folds
+// nothing into the best, even a candidate that completed before the cancel
+// landed, so the checkpoint is the previous round's. On one worker the
+// canceled candidate is folded like any other.
+func TestCanceledReplicaRoundFoldsNothing(t *testing.T) {
+	for p, wantBest := range map[int]string{1: "good", 2: ""} {
+		db, qs := setup(t)
+		opts := DefaultOptions()
+		opts.InitialTimeout = 1e9
+		opts.Parallelism = p
+		s := New(evaluator.New(db), qs, opts)
+		ctx, cancel := context.WithCancel(context.Background())
+		execs := 0
+		// Snapshots inherit the hook; the one task runs on one goroutine.
+		db.SetExecHook(func(*engine.Query, float64) {
+			if execs++; execs == len(qs) {
+				cancel()
+			}
+		})
+		if _, err := s.Select(ctx, []*engine.Config{good()}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism %d: err = %v, want context.Canceled", p, err)
+		}
+		cancel()
+		st := s.Checkpoint()
+		if !st.Metas["good"].IsComplete {
+			t.Fatalf("parallelism %d: the candidate did not complete before the cancel", p)
+		}
+		if st.Round != 0 || st.BestID != wantBest {
+			t.Errorf("parallelism %d: checkpoint round %d best %q, want round 0 best %q", p, st.Round, st.BestID, wantBest)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // runs a growing prefix of its DP schedule each rung, the online cost
 // surrogate (race.Surrogate) ranks candidates by predicted full-workload
 // time at each rung boundary, and the dominated half is eliminated. Once the
-// field is down to FinalSurvivors, the exact Algorithm 2 path takes over —
+// field is down to FinalSurvivors, the exact Algorithm 2 loop takes over —
 // accumulated per-query times are exact, so the winner's reported workload
 // time is identical to what a full evaluation would report for it.
 //
@@ -79,7 +79,7 @@ func (s *Selector) selectRacing(ctx context.Context, candidates []*engine.Config
 		}
 	}
 
-	// Hand the survivors to the exact paper pass. Rung bookkeeping marked a
+	// Hand the survivors to the exact paper loop. Rung bookkeeping marked a
 	// prefix pass "complete"; completion now means the whole workload, and
 	// meta.Time is the exact accumulated time of the completed queries.
 	s.raceState.Done = true
@@ -88,10 +88,7 @@ func (s *Selector) selectRacing(ctx context.Context, candidates []*engine.Config
 		m := s.Metas[c]
 		m.IsComplete = len(m.Completed) == n
 	}
-	if s.parallelOK() {
-		return s.selectParallel(ctx, survivors, t, alpha, rounds)
-	}
-	return s.selectSequential(ctx, survivors, t, alpha, rounds)
+	return s.selectRounds(ctx, survivors, t, alpha, rounds)
 }
 
 // runRung evaluates every survivor on its prefix-bounded todo list under one
@@ -165,41 +162,8 @@ func (s *Selector) runRung(ctx context.Context, survivors []*engine.Config, pref
 		})
 	}
 
-	var err error
-	if s.parallelOK() {
-		pool := evaluator.NewPool(s.Eval, s.Opts.Parallelism)
-		_, err = pool.Run(ctx, tasks)
-	} else {
-		err = s.runTasksOnPrimary(ctx, tasks)
-	}
+	_, err := s.pool().Run(ctx, tasks)
 	return rungSpan, err
-}
-
-// runTasksOnPrimary is the sequential rung path: tasks run in order on the
-// primary instance, under the rung's pre-built candidate spans.
-func (s *Selector) runTasksOnPrimary(ctx context.Context, tasks []evaluator.Task) error {
-	clock := s.Eval.DB.Clock()
-	for _, task := range tasks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		task.Span.SetAttrs(obs.Int("worker", 0))
-		if err := s.Eval.Apply(task.Config); err != nil {
-			task.Meta.IsComplete = false
-			task.Span.SetAttrs(obs.Bool("apply_failed", true))
-			task.Span.End(clock.Now())
-			continue
-		}
-		s.Eval.Span = task.Span
-		s.Eval.FreeIndexes = task.FreeIndexes
-		s.Eval.Evaluate(ctx, task.Config, task.Queries, task.Timeout, task.Meta)
-		s.Eval.FreeIndexes = nil
-		s.Eval.Span = nil
-		task.Span.SetAttrs(obs.Bool("complete", task.Meta.IsComplete),
-			obs.Float("time", task.Meta.Time), obs.Float("index_time", task.Meta.IndexTime))
-		task.Span.End(clock.Now())
-	}
-	return ctx.Err()
 }
 
 // eliminate refits the surrogate from every observed (plan cost, seconds)

@@ -4,14 +4,16 @@
 // timeout adaptation and best-configuration-based timeout tightening. The
 // scheme bounds total tuning time by O(k·α·C_best) — Theorem 4.3.
 //
-// With Options.Parallelism > 1 the candidates of each round are evaluated
-// concurrently by an evaluator.Pool, one engine snapshot per worker; the
-// round's elapsed tuning time is the max over workers (N parallel DBMS
-// replicas). Selection decisions are parallelism-invariant: every
-// parallelism picks the same best configuration with the same workload time,
-// because the winner is always the candidate with the minimal full-workload
-// execution time among those that can complete (see DESIGN.md §7 for the
-// argument). Parallelism 1 follows the sequential path byte-identically.
+// Every candidate evaluation runs through one evaluator.Pool, under one
+// round loop. A pool of one worker is the primary instance itself: the
+// candidates of a round run one at a time, as in the paper. With
+// Options.Parallelism > 1 they run concurrently, one engine snapshot per
+// worker, and the round's elapsed tuning time is the max over workers (N
+// parallel DBMS replicas). Selection decisions are parallelism-invariant:
+// every parallelism picks the same best configuration with the same
+// workload time, because the winner is always the candidate with the
+// minimal full-workload execution time among those that can complete (see
+// DESIGN.md §7 for the argument).
 package selector
 
 import (
@@ -73,11 +75,11 @@ type Options struct {
 	// MaxRounds caps the number of rounds as a safety valve (0 = unlimited).
 	MaxRounds int
 	// Parallelism is the number of concurrent evaluation workers (simulated
-	// DBMS replicas). 0 or 1 evaluates sequentially, reproducing the
-	// single-instance results byte-identically; higher values evaluate each
-	// round's candidates concurrently with identical selection decisions.
-	// When a fault injector is installed on the database the selector always
-	// uses the sequential path — injected fault sequences are defined on the
+	// DBMS replicas). 0 or 1 evaluates on the primary instance, one
+	// candidate at a time; higher values evaluate each round's candidates
+	// concurrently on replicas with identical selection decisions. When a
+	// fault injector is installed on the database the selector always
+	// evaluates on the primary: injected fault sequences are defined on the
 	// primary instance's clock and cannot be replayed across replicas.
 	Parallelism int
 	// Strategy selects full (paper-exact) or racing evaluation. Racing is
@@ -206,19 +208,6 @@ func (s *Selector) resumedBest(candidates []*engine.Config) Best {
 	return best
 }
 
-// incomplete lists the candidates whose bookkeeping has not completed the
-// workload, in original candidate order — the "remaining" set of the
-// tightened final pass when resuming past the completion round.
-func (s *Selector) incomplete(cs []*engine.Config) []*engine.Config {
-	var out []*engine.Config
-	for _, c := range cs {
-		if m := s.Metas[c]; m == nil || !m.IsComplete {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // startRound opens one round's span under the selection span and narrates
 // it; nil-safe when tracing is off.
 func (s *Selector) startRound(round int, timeout float64) *obs.Span {
@@ -304,31 +293,32 @@ func (s *Selector) Select(ctx context.Context, candidates []*engine.Config) (*en
 	if s.Opts.Strategy == Racing {
 		return s.selectRacing(ctx, candidates, t, alpha, rounds)
 	}
-	if s.parallelOK() {
-		return s.selectParallel(ctx, candidates, t, alpha, rounds)
+	return s.selectRounds(ctx, candidates, t, alpha, rounds)
+}
+
+// pool builds the evaluation pool: Parallelism replicas when requested and
+// no fault injector pins the run to the primary instance's clock (injected
+// fault sequences cannot be replayed across replicas), else the primary
+// instance alone.
+func (s *Selector) pool() *evaluator.Pool {
+	if s.Opts.Parallelism > 1 && !s.Eval.DB.HasFaultInjector() {
+		return evaluator.NewPool(s.Eval, s.Opts.Parallelism)
 	}
-	return s.selectSequential(ctx, candidates, t, alpha, rounds)
+	return evaluator.NewPool(s.Eval, 1)
 }
 
-// parallelOK reports whether snapshot-parallel evaluation applies: requested
-// and no fault injector pinning the run to the primary clock.
-func (s *Selector) parallelOK() bool {
-	return s.Opts.Parallelism > 1 && !s.Eval.DB.HasFaultInjector()
-}
-
-// selectSequential is the single-instance path: one shared database, one
-// clock, candidates evaluated in throughput order with an early break on the
-// first completion. This is the paper's Algorithm 2 verbatim; Parallelism=1
-// runs reproduce pre-parallelism results byte-identically.
-func (s *Selector) selectSequential(ctx context.Context, candidates []*engine.Config, t, alpha float64, rounds int) (*engine.Config, error) {
+// selectRounds is Algorithm 2's round loop: rounds under geometrically
+// growing timeouts until a candidate completes the workload, then one
+// tightened final pass (lines 17-18). The same loop runs on one instance and
+// on replicas; only the pass's batching differs (see pass).
+func (s *Selector) selectRounds(ctx context.Context, candidates []*engine.Config, t, alpha float64, rounds int) (*engine.Config, error) {
+	pool := s.pool()
 	best := s.resumedBest(candidates)
-	var remaining []*engine.Config
-	if !math.IsInf(best.Time, 1) {
-		// Resumed past the completion round: the best is known, and only the
-		// tightened final pass remains — exactly where the uninterrupted run
-		// stood after its post-completion checkpoint.
-		remaining = s.incomplete(candidates)
-	}
+	// reached is what the completing round evaluated. A run resumed past
+	// the completion round has nothing left to reach: the best is known,
+	// and only the final pass remains, exactly where the uninterrupted run
+	// stood after its post-completion checkpoint.
+	reached := candidates
 	for math.IsInf(best.Time, 1) {
 		if err := ctx.Err(); err != nil {
 			return nil, errors.Join(err, s.saveState(candidates, rounds, t, &best))
@@ -338,106 +328,80 @@ func (s *Selector) selectSequential(ctx context.Context, candidates []*engine.Co
 			return nil, ErrBudgetExhausted
 		}
 		roundSpan := s.startRound(rounds, t)
-		for seq, c := range s.byThroughput(candidates) {
-			s.update(ctx, c, t, &best, roundSpan, "round", seq)
-			if s.Metas[c].IsComplete {
-				remaining = without(candidates, c)
-				break
-			}
-		}
-		if err := ctx.Err(); err != nil {
+		var err error
+		if reached, err = s.pass(ctx, pool, candidates, t, &best, roundSpan, "round"); err != nil {
 			// Mid-round cancellation: checkpoint the partial progress (the
 			// metas record every completed query) so Resume can continue.
 			roundSpan.End(s.Eval.DB.Clock().Now())
 			return nil, errors.Join(err, s.saveState(candidates, rounds-1, t, &best))
 		}
-		if !math.IsInf(best.Time, 1) {
-			roundSpan.SetAttrs(obs.Bool("complete_found", true))
-			roundSpan.End(s.Eval.DB.Clock().Now())
-			if err := s.saveState(candidates, rounds, t, &best); err != nil {
-				return nil, err
-			}
-			break
+		found := !math.IsInf(best.Time, 1)
+		if !found {
+			// Reconfiguration overheads: never let the next round's timeout
+			// be dominated by index creation (Algorithm 2 line 14).
+			t = s.adaptTimeout(candidates, t, roundSpan) * alpha
 		}
-		// Reconfiguration overheads: never let the next round's timeout be
-		// dominated by index creation (Algorithm 2 line 14).
-		t = s.adaptTimeout(candidates, t, roundSpan)
-		t *= alpha
-		roundSpan.SetAttrs(obs.Bool("complete_found", false))
+		roundSpan.SetAttrs(obs.Bool("complete_found", found))
 		roundSpan.End(s.Eval.DB.Clock().Now())
 		if err := s.saveState(candidates, rounds, t, &best); err != nil {
 			return nil, err
 		}
 	}
 
-	// Give every remaining configuration one chance with the tightened,
-	// best-based timeout (lines 17-18).
-	for seq, c := range s.byThroughput(remaining) {
-		s.update(ctx, c, t, &best, s.Span, "final", seq)
+	// The final pass gives every candidate the rounds did not finish one
+	// chance under the best-based timeout: those the completing round left
+	// incomplete, and those it never reached. On one instance a candidate
+	// that completed earlier (a racing hand-off, a resume) can sit behind
+	// the first completer. The set keeps candidate order, since
+	// byThroughput breaks ties by position.
+	finished := make(map[*engine.Config]bool, len(reached))
+	for _, c := range reached {
+		finished[c] = s.Metas[c].IsComplete
 	}
-	if err := ctx.Err(); err != nil {
+	var remaining []*engine.Config
+	for _, c := range candidates {
+		if !finished[c] {
+			remaining = append(remaining, c)
+		}
+	}
+	if _, err := s.pass(ctx, pool, remaining, t, &best, s.Span, "final"); err != nil {
 		return nil, err
 	}
 	return best.Config, nil
 }
 
-// selectParallel evaluates each round's candidates concurrently on engine
-// snapshots (one per worker) and merges the results deterministically: the
-// round's elapsed time is the max over workers, completions are scanned in
-// the round's evaluation order with strict improvement, and the tightened
-// final pass runs the still-incomplete candidates against the best-based
-// budget. The chosen configuration is identical to the sequential path's —
-// both pick the candidate with the minimal full-workload time among those
-// that can complete — while the elapsed tuning time models N replicas
-// working in parallel.
-func (s *Selector) selectParallel(ctx context.Context, candidates []*engine.Config, t, alpha float64, rounds int) (*engine.Config, error) {
-	best := s.resumedBest(candidates)
-	pool := evaluator.NewPool(s.Eval, s.Opts.Parallelism)
-	var remaining []*engine.Config
-	if !math.IsInf(best.Time, 1) {
-		// Resumed past the completion round (see selectSequential).
-		remaining = s.incomplete(candidates)
+// pass evaluates candidates in throughput order under phase "round" or
+// "final" and folds completions into best, in that order, with strict
+// improvement. On one worker it is Algorithm 2 verbatim: one candidate at a
+// time, each timeout tightened against the best so far, and a round stops
+// at its first completion. On replicas the whole list runs at once, and the
+// round costs its slowest replica's time. Either way the winner is the
+// candidate with the minimal full-workload time among those that can
+// complete (DESIGN.md §7). pass returns the candidates it reached, and
+// ctx's error once ctx is done.
+func (s *Selector) pass(ctx context.Context, pool *evaluator.Pool, cs []*engine.Config, t float64, best *Best, parent *obs.Span, phase string) ([]*engine.Config, error) {
+	ordered := s.byThroughput(cs)
+	one := pool.Workers() == 1
+	step := len(ordered)
+	if one {
+		step = 1
 	}
-	for math.IsInf(best.Time, 1) {
-		if err := ctx.Err(); err != nil {
-			return nil, errors.Join(err, s.saveState(candidates, rounds, t, &best))
-		}
-		rounds++
-		if s.Opts.MaxRounds > 0 && rounds > s.Opts.MaxRounds {
-			return nil, ErrBudgetExhausted
-		}
-		roundSpan := s.startRound(rounds, t)
-		ordered := s.byThroughput(candidates)
-		tasks := make([]evaluator.Task, 0, len(ordered))
-		for seq, c := range ordered {
-			m := s.Metas[c]
-			todo := s.todo(m)
-			if len(todo) == 0 {
-				// Resumed checkpoint already completed this candidate.
-				m.IsComplete = true
-				continue
+	for lo := 0; lo < len(ordered) && ctx.Err() == nil; lo += step {
+		hi := min(lo+step, len(ordered))
+		var tasks []evaluator.Task
+		for seq := lo; seq < hi; seq++ {
+			if task, ok := s.task(ordered[seq], seq, t, best, parent, phase, one); ok {
+				tasks = append(tasks, task)
 			}
-			// Candidate spans are created here, in the round's evaluation
-			// order on the coordinating goroutine, before any worker runs:
-			// creation order (and so trace shape) is parallelism-invariant
-			// scheduling-wise. The owning worker fills and ends each span.
-			var span *obs.Span
-			if roundSpan != nil {
-				span = s.Trace.Start(roundSpan, "candidate", s.Eval.DB.Clock().Now(),
-					obs.String("config", c.ID), obs.Int("seq", seq),
-					obs.String("phase", "round"), obs.Float("timeout", t))
-			}
-			tasks = append(tasks, evaluator.Task{Config: c, Queries: todo, Timeout: t, Meta: m, Span: span})
 		}
-		if _, err := pool.Run(ctx, tasks); err != nil {
-			roundSpan.End(s.Eval.DB.Clock().Now())
-			return nil, errors.Join(err, s.saveState(candidates, rounds-1, t, &best))
+		if _, err := pool.Run(ctx, tasks); err != nil && !one {
+			// A canceled replica batch folds nothing; the candidate
+			// canceled on one worker is folded like any other.
+			return ordered, err
 		}
-		// Deterministic merge: scan completions in the round's evaluation
-		// order with strict improvement, mirroring the sequential scan.
-		for _, c := range ordered {
+		for _, c := range ordered[lo:hi] {
 			if m := s.Metas[c]; m.IsComplete && m.Time < best.Time {
-				best = Best{Time: m.Time, Config: c}
+				*best = Best{Time: m.Time, Config: c}
 				s.Progress = append(s.Progress, ProgressEvent{
 					Clock:    s.Eval.DB.Clock().Now(),
 					BestTime: m.Time,
@@ -446,71 +410,54 @@ func (s *Selector) selectParallel(ctx context.Context, candidates []*engine.Conf
 				s.noteBest(c.ID, m.Time)
 			}
 		}
-		if !math.IsInf(best.Time, 1) {
-			for _, c := range candidates {
-				if !s.Metas[c].IsComplete {
-					remaining = append(remaining, c)
-				}
-			}
-			roundSpan.SetAttrs(obs.Bool("complete_found", true))
-			roundSpan.End(s.Eval.DB.Clock().Now())
-			if err := s.saveState(candidates, rounds, t, &best); err != nil {
-				return nil, err
-			}
-			break
-		}
-		t = s.adaptTimeout(candidates, t, roundSpan)
-		t *= alpha
-		roundSpan.SetAttrs(obs.Bool("complete_found", false))
-		roundSpan.End(s.Eval.DB.Clock().Now())
-		if err := s.saveState(candidates, rounds, t, &best); err != nil {
-			return nil, err
+		if phase == "round" && !math.IsInf(best.Time, 1) {
+			return ordered[:hi], ctx.Err()
 		}
 	}
+	return ordered, ctx.Err()
+}
 
-	// Tightened final chance (Algorithm 2 lines 17-18), also in parallel:
-	// any candidate whose total workload time beats the current best fits
-	// within the best-based budget, so the global minimum always completes.
-	ordered := s.byThroughput(remaining)
-	tasks := make([]evaluator.Task, 0, len(ordered))
-	for seq, c := range ordered {
-		m := s.Metas[c]
-		var span *obs.Span
-		if s.Span != nil && s.Trace != nil {
-			span = s.Trace.Start(s.Span, "candidate", s.Eval.DB.Clock().Now(),
-				obs.String("config", c.ID), obs.Int("seq", seq), obs.String("phase", "final"))
-		}
-		budget := best.Time - m.Time
-		if budget <= 0 {
-			// Provably suboptimal (paper §4, Best Configuration).
+// task is Algorithm 2's Update up to the evaluation itself. It opens c's
+// candidate span under parent (trace position seq), tightens the timeout to
+// best minus c's completed time once a best is known, and lists the queries
+// c has left. ok is false when there is nothing to evaluate: c is provably
+// suboptimal (paper §4, Best Configuration) and skipped, or has completed
+// the workload already and is marked complete.
+func (s *Selector) task(c *engine.Config, seq int, t float64, best *Best, parent *obs.Span, phase string, one bool) (evaluator.Task, bool) {
+	meta := s.Metas[c]
+	todo := s.todo(meta)
+	if len(todo) == 0 && !one {
+		// On replicas a candidate with nothing left to run gets no span.
+		meta.IsComplete = true
+		return evaluator.Task{}, false
+	}
+	now := s.Eval.DB.Clock().Now()
+	var span *obs.Span
+	if parent != nil {
+		span = s.Trace.Start(parent, "candidate", now,
+			obs.String("config", c.ID), obs.Int("seq", seq), obs.String("phase", phase))
+	}
+	if one {
+		// On the primary the span is worker 0's from its start, so a
+		// skipped candidate carries the id too.
+		span.SetAttrs(obs.Int("worker", 0))
+	}
+	if !math.IsInf(best.Time, 1) {
+		if t = best.Time - meta.Time; t <= 0 {
 			span.SetAttrs(obs.Bool("skipped", true))
-			span.End(s.Eval.DB.Clock().Now())
-			continue
-		}
-		todo := s.todo(m)
-		if len(todo) == 0 {
-			span.SetAttrs(obs.Bool("skipped", true))
-			span.End(s.Eval.DB.Clock().Now())
-			continue
-		}
-		span.SetAttrs(obs.Float("timeout", budget))
-		tasks = append(tasks, evaluator.Task{Config: c, Queries: todo, Timeout: budget, Meta: m, Span: span})
-	}
-	if _, err := pool.Run(ctx, tasks); err != nil {
-		return nil, err
-	}
-	for _, c := range ordered {
-		if m := s.Metas[c]; m.IsComplete && m.Time < best.Time {
-			best = Best{Time: m.Time, Config: c}
-			s.Progress = append(s.Progress, ProgressEvent{
-				Clock:    s.Eval.DB.Clock().Now(),
-				BestTime: m.Time,
-				ConfigID: c.ID,
-			})
-			s.noteBest(c.ID, m.Time)
+			span.End(now)
+			return evaluator.Task{}, false
 		}
 	}
-	return best.Config, nil
+	span.SetAttrs(obs.Float("timeout", t))
+	if len(todo) == 0 {
+		meta.IsComplete = true
+		span.SetAttrs(obs.Bool("complete", true),
+			obs.Float("time", meta.Time), obs.Float("index_time", meta.IndexTime))
+		span.End(now)
+		return evaluator.Task{}, false
+	}
+	return evaluator.Task{Config: c, Queries: todo, Timeout: t, Meta: meta, Span: span}, true
 }
 
 // todo lists the workload queries the configuration has not completed yet.
@@ -522,62 +469,6 @@ func (s *Selector) todo(meta *evaluator.ConfigMeta) []*engine.Query {
 		}
 	}
 	return out
-}
-
-// update is Algorithm 2's Update procedure. When tracing is on (parent span
-// set), the candidate's evaluation — including the tightened-timeout and
-// provably-suboptimal-skip verdicts — records as a candidate span under
-// parent, with phase "round" or "final" and its position seq in the round's
-// evaluation order.
-func (s *Selector) update(ctx context.Context, c *engine.Config, t float64, best *Best, parent *obs.Span, phase string, seq int) {
-	clock := s.Eval.DB.Clock()
-	var span *obs.Span
-	if parent != nil && s.Trace != nil {
-		span = s.Trace.Start(parent, "candidate", clock.Now(),
-			obs.String("config", c.ID), obs.Int("seq", seq),
-			obs.String("phase", phase), obs.Int("worker", 0))
-	}
-	meta := s.Metas[c]
-	if !math.IsInf(best.Time, 1) {
-		// Any configuration exceeding best.Time − completed time is
-		// provably suboptimal (paper §4, Best Configuration).
-		t = best.Time - meta.Time
-		if t <= 0 {
-			span.SetAttrs(obs.Bool("skipped", true))
-			span.End(clock.Now())
-			return
-		}
-	}
-	span.SetAttrs(obs.Float("timeout", t))
-	todo := s.todo(meta)
-	if len(todo) == 0 {
-		meta.IsComplete = true
-	} else {
-		if err := s.Eval.Apply(c); err != nil {
-			// Unusable configuration (bad parameter values): mark it
-			// permanently incomplete.
-			meta.IsComplete = false
-			span.SetAttrs(obs.Bool("apply_failed", true))
-			span.End(clock.Now())
-			return
-		}
-		s.Eval.Span = span
-		s.Eval.Evaluate(ctx, c, todo, t, meta)
-		s.Eval.Span = nil
-	}
-	span.SetAttrs(obs.Bool("complete", meta.IsComplete),
-		obs.Float("time", meta.Time), obs.Float("index_time", meta.IndexTime))
-	span.End(clock.Now())
-	if meta.IsComplete && meta.Time < best.Time {
-		best.Time = meta.Time
-		best.Config = c
-		s.Progress = append(s.Progress, ProgressEvent{
-			Clock:    s.Eval.DB.Clock().Now(),
-			BestTime: meta.Time,
-			ConfigID: c.ID,
-		})
-		s.noteBest(c.ID, meta.Time)
-	}
 }
 
 // byThroughput orders configurations by decreasing throughput (queries
@@ -596,15 +487,5 @@ func (s *Selector) byThroughput(cs []*engine.Config) []*engine.Config {
 		}
 		return pos[out[a]] < pos[out[b]]
 	})
-	return out
-}
-
-func without(cs []*engine.Config, drop *engine.Config) []*engine.Config {
-	out := make([]*engine.Config, 0, len(cs)-1)
-	for _, c := range cs {
-		if c != drop {
-			out = append(out, c)
-		}
-	}
 	return out
 }
