@@ -142,16 +142,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.Evaluation.Strategy = evalStrategy
 	opts.Durability.CheckpointDir = *ckptDir
 	opts.Durability.Resume = *resume
-	if *llmFault > 0 || *engFault > 0 {
-		opts.Faults = &lambdatune.FaultPlan{LLMRate: *llmFault, EngineRate: *engFault, Seed: *seed}
+	if *llmFault != 0 || *engFault != 0 {
 		opts.Resilience = &lambdatune.ResilienceOptions{MaxRetries: *retries, BreakerThreshold: *breaker}
 	}
-	if *killRound > 0 || *killSaves > 0 {
-		if opts.Faults == nil {
-			opts.Faults = &lambdatune.FaultPlan{Seed: *seed}
-		}
-		opts.Faults.CrashAfterRound = *killRound
-		opts.Faults.CrashAfterSaves = *killSaves
+	// Any nonzero value builds the plan, so Options.Validate names an
+	// out-of-range one instead of the run ignoring it.
+	if *llmFault != 0 || *engFault != 0 || *killRound != 0 || *killSaves != 0 {
+		opts.Faults = &lambdatune.FaultPlan{LLMRate: *llmFault, EngineRate: *engFault, Seed: *seed,
+			CrashAfterRound: *killRound, CrashAfterSaves: *killSaves}
 	}
 
 	db.SetPlanCache(*plancache)
@@ -211,6 +209,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
+		if errors.Is(err, lambdatune.ErrInvalidOptions) {
+			return 2
+		}
 		return 1
 	}
 

@@ -176,6 +176,25 @@ func TestRunUnknownStrategy(t *testing.T) {
 	}
 }
 
+// TestRunNegativeFaultFlags: a negative fault rate or kill point is a usage
+// error naming the offending field, never a silent no-op.
+func TestRunNegativeFaultFlags(t *testing.T) {
+	for flag, field := range map[string]string{
+		"-llm-fault-rate":    "Faults.LLMRate",
+		"-engine-fault-rate": "Faults.EngineRate",
+		"-kill-after-round":  "Faults.CrashAfterRound",
+		"-kill-after-saves":  "Faults.CrashAfterSaves",
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-benchmark", "tpch-1", flag, "-1"}, &out, &errb); code != 2 {
+			t.Errorf("%s -1: exit %d, want 2 (stderr: %s)", flag, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), field) {
+			t.Errorf("%s -1: stderr does not name %s: %s", flag, field, errb.String())
+		}
+	}
+}
+
 // TestRunMetricsServerShutsDown verifies the -metrics-addr listener is
 // gracefully shut down when the run ends: the port must be bindable again
 // immediately after run() returns.
