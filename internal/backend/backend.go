@@ -107,7 +107,7 @@ type Backend interface {
 	SetFaultInjector(engine.FaultInjector)
 	// HasFaultInjector reports whether an injector is installed. Injected
 	// fault sequences are defined on the primary's clock, so the selector
-	// evaluates sequentially while one is.
+	// evaluates on the primary alone while one is.
 	HasFaultInjector() bool
 	// QueryAborts returns how many query executions injected faults killed.
 	QueryAborts() int

@@ -19,7 +19,7 @@ type ExecHook func(q *Query, seconds float64)
 func (db *DB) SetExecHook(h ExecHook) { db.execHook = h }
 
 // HasFaultInjector reports whether a fault injector is installed. The
-// selector uses it to force the sequential evaluation path: an injector's
+// selector uses it to keep evaluation on the primary instance: an injector's
 // fault sequence is defined on the primary instance's clock and rng, so it
 // cannot be replayed deterministically across parallel replicas.
 func (db *DB) HasFaultInjector() bool { return db.faults != nil }
