@@ -99,6 +99,22 @@ func TestRobustnessSweepShape(t *testing.T) {
 	if clean.Faults.Any() {
 		t.Fatalf("zero-rate cell reported faults: %+v", clean.Faults)
 	}
+	// The shape E12 claims, by name rather than by digest: default seeding
+	// keeps every cell at or above the default's speed, and every cell with
+	// an engine rate survives at least one engine fault.
+	for _, r := range rows {
+		cell := fmt.Sprintf("llm=%g engine=%g", r.LLMRate, r.EngineRate)
+		if r.Err != "" {
+			t.Errorf("%s: run failed: %s", cell, r.Err)
+			continue
+		}
+		if r.Speedup < 1 {
+			t.Errorf("%s: speedup %.4g < 1", cell, r.Speedup)
+		}
+		if r.EngineRate > 0 && r.Faults.QueryAborts+r.Faults.IndexFailures == 0 {
+			t.Errorf("%s: no query abort or index failure reported", cell)
+		}
+	}
 	out := RenderRobustness(rows)
 	if !strings.Contains(out, "llm%") || strings.Count(out, "\n") < want+1 {
 		t.Fatalf("render malformed:\n%s", out)
