@@ -477,13 +477,30 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 	return jobID, memo, nil
 }
 
-// wireFaults installs the fault injector and chaos kill points for one run —
-// extracted from the pre-Runtime TuneContext body verbatim. It wraps *inner
-// with the LLM fault interceptor and returns the checkpoint decorator that
-// stamps the injector's RNG position, plus the cleanup that detaches the
-// injector from the backend. tr is the run's tracer and resume its loaded
-// checkpoint state (both may be nil).
+// wireFaults installs the chaos kill points for one run and, when a fault
+// rate is nonzero, the fault injector. It wraps *inner with the LLM fault
+// interceptor and returns the checkpoint decorator that stamps the
+// injector's RNG position, plus the cleanup that detaches the injector from
+// the backend. tr is the run's tracer and resume its loaded checkpoint
+// state (both may be nil).
 func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.State, store *runstate.Store, inner *llm.Client) (func(*runstate.State), func(), error) {
+	// Chaos kill points: simulate a crash right after a durable
+	// checkpoint — the bytes are on disk, the process "dies".
+	if k := (&faults.Killer{AfterRound: opts.Faults.CrashAfterRound,
+		AfterSaves: opts.Faults.CrashAfterSaves}); k.Armed() {
+		store.AfterSave = func(st *runstate.State) error {
+			round := 0
+			if st.Round != nil {
+				round = st.Round.Round
+			}
+			return k.AfterCheckpoint(round)
+		}
+	}
+	// A plan of kill points alone injects nothing, so it installs no
+	// injector: the run keeps its Parallelism.
+	if opts.Faults.LLMRate == 0 && opts.Faults.EngineRate == 0 {
+		return nil, func() {}, nil
+	}
 	db := d.db
 	seed := opts.Faults.Seed
 	if seed == 0 {
@@ -503,18 +520,6 @@ func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.Stat
 				runstate.ErrCheckpointMismatch, seed, resume.Injector.Seed)
 		}
 		inj.RestoreEngine(resume.Injector.EngineDraws, resume.Injector.Counts)
-	}
-	// Chaos kill points: simulate a crash right after a durable
-	// checkpoint — the bytes are on disk, the process "dies".
-	if k := (&faults.Killer{AfterRound: opts.Faults.CrashAfterRound,
-		AfterSaves: opts.Faults.CrashAfterSaves}); k.Armed() {
-		store.AfterSave = func(st *runstate.State) error {
-			round := 0
-			if st.Round != nil {
-				round = st.Round.Round
-			}
-			return k.AfterCheckpoint(round)
-		}
 	}
 	// Every checkpoint carries the injector's RNG position, and a resumed
 	// run fast-forwards a fresh injector there — so the fault sequence
