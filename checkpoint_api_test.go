@@ -9,9 +9,10 @@ import (
 )
 
 // TestCheckpointCrashResumeAPI drives the public API through a chaos crash
-// and resume, with engine faults injected — so the fault injector's RNG
-// position must survive the crash for the resumed run to see the same
-// remaining fault sequence.
+// and resume, with engine faults injected. Each fault is keyed by what it
+// hits and the candidate's fault counts, which the checkpoint's metas carry,
+// so the resumed run meets the faults the uninterrupted run met after the
+// crash point, and reports the same FaultReport.
 func TestCheckpointCrashResumeAPI(t *testing.T) {
 	newRun := func() (*lambdatune.Database, *lambdatune.Workload) {
 		db, w, err := lambdatune.Benchmark("tpch-1", lambdatune.Postgres)
@@ -67,6 +68,9 @@ func TestCheckpointCrashResumeAPI(t *testing.T) {
 	}
 	if got.TuningSeconds != want.TuningSeconds {
 		t.Errorf("tuning seconds %v != %v", got.TuningSeconds, want.TuningSeconds)
+	}
+	if got.Faults != want.Faults || want.Faults.QueryAborts+want.Faults.IndexFailures == 0 {
+		t.Errorf("resumed fault report %+v, uninterrupted %+v", got.Faults, want.Faults)
 	}
 }
 

@@ -4,7 +4,8 @@
 // costs, index-creation cost, and configuration acceptance (ALTER SYSTEM /
 // CREATE INDEX) — and Backend codifies those surfaces plus the accessors the
 // pipeline needs (flavor, catalog, hardware, virtual clock), snapshotting for
-// parallel evaluation, fault injection, and the plan-cache toggle. Everything
+// parallel evaluation, and the plan-cache toggle. Injected engine faults are
+// not part of the contract: the evaluator decides them above the backend. Everything
 // above this package (core/tuner, core/selector, core/evaluator, core/prompt,
 // the baselines, the bench harness, and the public API) talks to a Backend;
 // only scenario setup and studies that need the simulator's extras (raw
@@ -101,18 +102,6 @@ type Backend interface {
 	// instance. evaluator.Pool snapshots one replica per worker and absorbs
 	// them after each round.
 	AbsorbSnapshot(Backend)
-
-	// SetFaultInjector installs an engine-side fault injector (query aborts,
-	// index-build failures); nil detaches it.
-	SetFaultInjector(engine.FaultInjector)
-	// HasFaultInjector reports whether an injector is installed. Injected
-	// fault sequences are defined on the primary's clock, so the selector
-	// evaluates on the primary alone while one is.
-	HasFaultInjector() bool
-	// QueryAborts returns how many query executions injected faults killed.
-	QueryAborts() int
-	// IndexFailures returns how many index builds injected faults failed.
-	IndexFailures() int
 
 	// PlanCacheStats returns the plan-memoization counters (hits, misses,
 	// evictions), shared with every snapshot taken from this instance.

@@ -1,7 +1,8 @@
 // Package instrumented decorates any backend.Backend with per-surface
 // telemetry: every call to one of the paper's four observation surfaces is
 // counted and timed (wall clock and virtual clock) into an obs.Registry, the
-// decorator's only sink. It exists both as a practical telemetry layer
+// decorator's only sink. Injected engine faults are decided above the
+// backend, in the evaluator, so the decorator never sees them. It exists both as a practical telemetry layer
 // (Database.BackendReport prints the numbers) and as proof that the backend
 // seam composes: the decorator is itself a conforming Backend and registers
 // as "instrumented" so it participates in the conformance suite.
@@ -190,9 +191,7 @@ func (b *Backend) ApplyConfig(cfg *engine.Config) error {
 func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
 	start, v0 := time.Now(), b.inner.Clock().Now()
 	secs := b.inner.CreateIndex(def)
-	// A build that spent time but left no index behind is an injected
-	// failure; count it as a surface error.
-	b.observe(createIndex, start, v0, secs > 0 && !b.inner.HasIndex(def))
+	b.observe(createIndex, start, v0, false)
 	return secs
 }
 
@@ -242,18 +241,6 @@ func (b *Backend) WorkloadSeconds(qs []*engine.Query) float64 { return b.inner.W
 
 // PlanCost forwards to the inner backend.
 func (b *Backend) PlanCost(q *engine.Query) float64 { return b.inner.PlanCost(q) }
-
-// SetFaultInjector forwards to the inner backend.
-func (b *Backend) SetFaultInjector(fi engine.FaultInjector) { b.inner.SetFaultInjector(fi) }
-
-// HasFaultInjector forwards to the inner backend.
-func (b *Backend) HasFaultInjector() bool { return b.inner.HasFaultInjector() }
-
-// QueryAborts forwards to the inner backend.
-func (b *Backend) QueryAborts() int { return b.inner.QueryAborts() }
-
-// IndexFailures forwards to the inner backend.
-func (b *Backend) IndexFailures() int { return b.inner.IndexFailures() }
 
 // PlanCacheStats forwards to the inner backend.
 func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return b.inner.PlanCacheStats() }

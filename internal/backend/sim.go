@@ -91,18 +91,6 @@ func (s *Sim) AbsorbSnapshot(o Backend) {
 	}
 }
 
-// SetFaultInjector installs an engine-side fault injector (nil detaches it).
-func (s *Sim) SetFaultInjector(fi engine.FaultInjector) { s.db.SetFaultInjector(fi) }
-
-// HasFaultInjector reports whether an injector is installed.
-func (s *Sim) HasFaultInjector() bool { return s.db.HasFaultInjector() }
-
-// QueryAborts returns the injected-query-abort count.
-func (s *Sim) QueryAborts() int { return s.db.QueryAborts() }
-
-// IndexFailures returns the injected-index-failure count.
-func (s *Sim) IndexFailures() int { return s.db.IndexFailures() }
-
 // SetExecHook observes every query execution (the scaling study attaches real
 // CPU cost to simulated executions with it). Snapshots inherit the hook, so it
 // must be safe for concurrent use.

@@ -50,11 +50,11 @@ func RobustnessTrial(seed int64, llmRate, engineRate float64) RobustnessRow {
 	row.DefaultTime = db.WorkloadSeconds(w.Queries)
 
 	inj := faults.NewInjector(faults.NewPlan(llmRate, engineRate), seed, db.Clock())
-	db.SetFaultInjector(inj)
 	client := llm.WithInterceptor(llm.NewSimClient(seed), inj)
 
 	opts := tuner.DefaultOptions()
 	opts.Seed = seed
+	opts.Faults = inj
 	opts.Resilience = &llm.ResilienceOptions{} // production defaults, db clock
 	res, err := tuner.New(db, client, opts).Tune(context.Background(), w.Queries)
 	if err != nil {

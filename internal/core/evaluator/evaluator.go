@@ -12,6 +12,7 @@ import (
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/engine"
+	"lambdatune/internal/faults"
 	"lambdatune/internal/obs"
 )
 
@@ -29,6 +30,9 @@ type ConfigMeta struct {
 	// Aborts counts query executions killed by injected engine faults;
 	// aborted queries stay un-completed and are retried in a later round.
 	Aborts int
+	// IndexFailures counts index builds failed by injected engine faults;
+	// the index stays absent and a later round retries the build.
+	IndexFailures int
 	// QueryTimes records each completed query's observed execution seconds,
 	// populated only when the evaluator's RecordTimes flag is on (the racing
 	// strategy's cost surrogate fits from these pairs). Nil otherwise, so
@@ -91,6 +95,10 @@ type Evaluator struct {
 	// created without advancing the virtual clock and dropped when the
 	// Evaluate pass ends. Nil outside racing rungs.
 	FreeIndexes map[string]bool
+	// Faults, when set, decides injected engine faults before every query
+	// execution and index build, keyed by what they hit and the meta's fault
+	// counts: alike on every pool worker and after a resume. Nil is clean.
+	Faults *faults.Injector
 
 	// freeCreated tracks the free indexes built during the current Evaluate
 	// pass so they can be dropped on every return path.
@@ -243,7 +251,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg *engine.Config, queries []
 		// Eager creation: every configuration index up front.
 		for _, ix := range cfg.Indexes {
 			if !created[ix.Key()] {
-				meta.IndexTime += e.createIndex(ix)
+				meta.IndexTime += e.createIndex(cfg, ix, meta)
 				created[ix.Key()] = true
 			}
 		}
@@ -259,18 +267,18 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg *engine.Config, queries []
 		if e.LazyIndexes {
 			for _, ix := range indexMap[q] {
 				if !created[ix.Key()] {
-					meta.IndexTime += e.createIndex(ix)
+					meta.IndexTime += e.createIndex(cfg, ix, meta)
 					created[ix.Key()] = true
 				}
 			}
 		}
 		qSpan := e.startSpan("query", clock.Now(), obs.String("query", q.Name))
-		res := e.DB.RunQuery(q, remaining)
+		res, aborted := e.runQuery(cfg, q, remaining, meta)
 		qSpan.SetAttrs(obs.Float("seconds", res.Seconds),
-			obs.Bool("complete", res.Complete), obs.Bool("aborted", res.Aborted))
+			obs.Bool("complete", res.Complete), obs.Bool("aborted", aborted))
 		qSpan.End(clock.Now())
 		e.Metrics.Counter("tuner_queries_total").Inc()
-		if res.Aborted {
+		if aborted {
 			// Injected engine fault: the wasted time still counts against
 			// the round's budget, but the round degrades gracefully — the
 			// remaining queries keep running and the aborted one is retried
@@ -314,11 +322,28 @@ func (e *Evaluator) Schedule(queries []*engine.Query, cfg *engine.Config) []*eng
 	return ordered
 }
 
-// createIndex builds one index under an index.build span and bumps the
-// index-build counter. Indexes listed in FreeIndexes — another candidate in
-// the same racing rung already paid their build cost — are materialized
-// without advancing the virtual clock and torn down when the pass ends.
-func (e *Evaluator) createIndex(ix engine.IndexDef) float64 {
+// runQuery executes q for cfg within budget seconds, unless an injected
+// engine fault aborts it: then q never reaches the backend, and the clock is
+// charged the wasted fraction of q's budget-capped runtime.
+func (e *Evaluator) runQuery(cfg *engine.Config, q *engine.Query, budget float64, meta *ConfigMeta) (res engine.ExecResult, aborted bool) {
+	frac, abort := e.Faults.EngineFault(faults.QueryAbort, cfg.ID, q.Name, meta.Aborts)
+	if !abort {
+		return e.DB.RunQuery(q, budget), false
+	}
+	clock := e.DB.Clock()
+	e.Span.Event("fault."+faults.QueryAbort.String(), clock.Now(), obs.String("query", q.Name))
+	wasted := frac * min(e.DB.QuerySeconds(q), budget)
+	clock.Advance(wasted)
+	return engine.ExecResult{Seconds: wasted}, true
+}
+
+// createIndex builds one of cfg's indexes under an index.build span and
+// bumps the index-build counter. Indexes listed in FreeIndexes — another
+// candidate in the same racing rung already paid their build cost — are
+// materialized without advancing the virtual clock and torn down when the
+// pass ends; they never fail. A build an injected fault fails charges the
+// wasted fraction of its cost and leaves no index.
+func (e *Evaluator) createIndex(cfg *engine.Config, ix engine.IndexDef, meta *ConfigMeta) float64 {
 	clock := e.DB.Clock()
 	if e.FreeIndexes[ix.Key()] {
 		sp := e.startSpan("index.build", clock.Now(),
@@ -331,7 +356,17 @@ func (e *Evaluator) createIndex(ix engine.IndexDef) float64 {
 		return 0
 	}
 	sp := e.startSpan("index.build", clock.Now(), obs.String("index", ix.Key()))
-	secs := e.DB.CreateIndex(ix)
+	var secs float64
+	frac, fail := e.Faults.EngineFault(faults.IndexFail, cfg.ID, ix.Key(), meta.IndexFailures)
+	if fail && e.DB.Catalog().Table(ix.Table) != nil {
+		meta.IndexFailures++
+		e.Span.Event("fault."+faults.IndexFail.String(), clock.Now(), obs.String("index", ix.Key()))
+		secs = frac * e.DB.IndexCreationSeconds(ix)
+		clock.Advance(secs)
+		sp.SetAttrs(obs.Bool("failed", true))
+	} else {
+		secs = e.DB.CreateIndex(ix)
+	}
 	sp.SetAttrs(obs.Float("seconds", secs))
 	sp.End(clock.Now())
 	e.Metrics.Counter("tuner_index_builds_total").Inc()

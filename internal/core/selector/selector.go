@@ -77,10 +77,9 @@ type Options struct {
 	// Parallelism is the number of concurrent evaluation workers (simulated
 	// DBMS replicas). 0 or 1 evaluates on the primary instance, one
 	// candidate at a time; higher values evaluate each round's candidates
-	// concurrently on replicas with identical selection decisions. When a
-	// fault injector is installed on the database the selector always
-	// evaluates on the primary: injected fault sequences are defined on the
-	// primary instance's clock and cannot be replayed across replicas.
+	// concurrently on replicas with identical selection decisions. Injected
+	// engine faults run at any width: the evaluator keys each decision by
+	// what it hits, so a replica decides exactly as the primary would.
 	Parallelism int
 	// Strategy selects full (paper-exact) or racing evaluation. Racing is
 	// off by default; the selected configuration's reported workload time is
@@ -296,15 +295,10 @@ func (s *Selector) Select(ctx context.Context, candidates []*engine.Config) (*en
 	return s.selectRounds(ctx, candidates, t, alpha, rounds)
 }
 
-// pool builds the evaluation pool: Parallelism replicas when requested and
-// no fault injector pins the run to the primary instance's clock (injected
-// fault sequences cannot be replayed across replicas), else the primary
-// instance alone.
+// pool builds the evaluation pool: Parallelism replicas, or the primary
+// instance alone at 0 or 1.
 func (s *Selector) pool() *evaluator.Pool {
-	if s.Opts.Parallelism > 1 && !s.Eval.DB.HasFaultInjector() {
-		return evaluator.NewPool(s.Eval, s.Opts.Parallelism)
-	}
-	return evaluator.NewPool(s.Eval, 1)
+	return evaluator.NewPool(s.Eval, s.Opts.Parallelism)
 }
 
 // selectRounds is Algorithm 2's round loop: rounds under geometrically

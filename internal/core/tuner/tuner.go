@@ -15,6 +15,7 @@ import (
 	"lambdatune/internal/core/prompt"
 	"lambdatune/internal/core/selector"
 	"lambdatune/internal/engine"
+	"lambdatune/internal/faults"
 	"lambdatune/internal/llm"
 	"lambdatune/internal/obs"
 	"lambdatune/internal/runstate"
@@ -77,16 +78,17 @@ type Options struct {
 	// round (see internal/runstate). A failed durable write aborts the run.
 	Checkpoint *runstate.Store
 	// Resume, when set, continues a checkpointed run: prompt generation and
-	// LLM sampling are skipped (the paid-for samples come from the state),
-	// the virtual clock is restored, and selection continues from the saved
-	// round. The state must match this run's workload and options
+	// LLM sampling are skipped (the paid-for samples and their telemetry
+	// come from the state), the virtual clock is restored, and selection
+	// continues from the saved round. The state must match this run's
+	// workload and options, engine fault plan included
 	// (runstate.ErrCheckpointMismatch otherwise). A run killed at any
 	// selector-round boundary and resumed this way selects the same
-	// configuration byte-for-byte as the uninterrupted run.
+	// configuration, and reports the same faults, as the uninterrupted run.
 	Resume *runstate.State
-	// DecorateState, when set, runs on every checkpoint state before it is
-	// written — the API layer stamps the fault injector's RNG position here.
-	DecorateState func(*runstate.State)
+	// Faults, when set, injects engine faults into configuration selection.
+	// Its LLM faults are the caller's to install, around the client.
+	Faults *faults.Injector
 
 	// SharedMemo, when set, replaces the run-private evaluation memo with a
 	// Runtime namespace's cross-job memo (see evaluator.Memo). It is
@@ -153,7 +155,7 @@ type FaultReport struct {
 	// (failed calls or unparseable scripts).
 	DroppedSamples int
 	// QueryAborts / IndexFailures count injected engine faults survived
-	// during configuration selection.
+	// during configuration selection, summed over the candidates' metas.
 	QueryAborts   int
 	IndexFailures int
 	// DegradedToDefault reports that every usable path failed and the
@@ -271,7 +273,6 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	if st := t.Opts.Resume; st != nil {
 		start = st.StartClockSeconds
 	}
-	abortsBefore, ixFailsBefore := t.DB.QueryAborts(), t.DB.IndexFailures()
 	statsBefore := clientStats(t.Client)
 
 	tr := t.Opts.Trace
@@ -303,6 +304,12 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 		res.Candidates = runstate.RestoreConfigs(st.Candidates)
 		res.Warnings = append(res.Warnings, st.Warnings...)
 		res.Faults.DroppedSamples = st.DroppedSamples
+		if l := st.LLM; l != nil {
+			f := &res.Faults
+			f.LLMCalls, f.LLMFailures, f.LLMRetries = l.Calls, l.Failures, l.Retries
+			f.BreakerTrips, f.FallbackCalls = l.BreakerTrips, l.FallbackCalls
+			f.BackoffSeconds, f.BreakerWaitSeconds, f.FailedCallSeconds = l.BackoffSeconds, l.BreakerWaitSeconds, l.FailedCallSeconds
+		}
 		round := 0
 		if st.Round != nil {
 			round = st.Round.Round
@@ -401,6 +408,7 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	}
 	eval.Owner = t.Opts.JobID
 	eval.Slots = t.Opts.Slots
+	eval.Faults = t.Opts.Faults
 	sel := selector.New(eval, queries, t.Opts.Selector)
 	sel.Trace = tr
 	sel.Span = tr.Start(runSpan, "selection", clock.Now(), obs.Int("candidates", len(pool)))
@@ -410,6 +418,13 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 		sel.Resume(st.Round.Restore())
 	}
 	if store := t.Opts.Checkpoint; store != nil {
+		f := res.Faults
+		sampled := &runstate.LLMState{Calls: f.LLMCalls, Failures: f.LLMFailures, Retries: f.LLMRetries,
+			BreakerTrips: f.BreakerTrips, FallbackCalls: f.FallbackCalls, BackoffSeconds: f.BackoffSeconds,
+			BreakerWaitSeconds: f.BreakerWaitSeconds, FailedCallSeconds: f.FailedCallSeconds}
+		if *sampled == (runstate.LLMState{}) {
+			sampled = nil
+		}
 		saveCkpt := func(rs *selector.RoundState) error {
 			st := &runstate.State{
 				RunID:             store.RunID,
@@ -422,10 +437,8 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 				Candidates:        runstate.CaptureConfigs(res.Candidates),
 				Warnings:          res.Warnings,
 				DroppedSamples:    res.Faults.DroppedSamples,
+				LLM:               sampled,
 				Round:             runstate.CaptureRound(rs),
-			}
-			if t.Opts.DecorateState != nil {
-				t.Opts.DecorateState(st)
 			}
 			n, err := store.Save(st)
 			if n > 0 {
@@ -459,8 +472,10 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 	sel.Span.End(clock.Now())
 	res.Metas = sel.Metas
 	res.Progress = sel.Progress
-	res.Faults.QueryAborts = t.DB.QueryAborts() - abortsBefore
-	res.Faults.IndexFailures = t.DB.IndexFailures() - ixFailsBefore
+	for _, m := range sel.Metas {
+		res.Faults.QueryAborts += m.Aborts
+		res.Faults.IndexFailures += m.IndexFailures
+	}
 	if selErr != nil {
 		// Cancellation or exhausted round budget: hand the partial result
 		// back with the error so telemetry and checkpoints survive.
@@ -476,7 +491,6 @@ func (t *Tuner) Tune(ctx context.Context, queries []*engine.Query) (*Result, err
 		res.Warnings = append(res.Warnings,
 			"no LLM candidate beat the default configuration; returning the default")
 	}
-	t.mergeClientStats(res, statsBefore)
 	finish(res)
 	return res, nil
 }
@@ -497,6 +511,7 @@ func (t *Tuner) fingerprint() runstate.Fingerprint {
 		LazyIndexes:    t.Opts.LazyIndexes,
 		SeedDefault:    t.Opts.SeedDefault,
 	}
+	fp.FaultSeed, fp.QueryAbortRate, fp.IndexFailRate = t.Opts.Faults.EnginePlan()
 	if t.Opts.Selector.Strategy == selector.Racing {
 		r := t.Opts.Selector.Racing.Norm()
 		fp.Racing = true

@@ -26,18 +26,12 @@ type DB struct {
 	permanent map[string]bool
 	// executed counts completed query executions (for test introspection).
 	executed int
-	// faults, when set, is consulted before query executions and index
-	// builds; see SetFaultInjector.
-	faults FaultInjector
-	// queryAborts / indexFailures count injected engine faults.
-	queryAborts   int
-	indexFailures int
 	// execHook, when set, observes every query execution; snapshots inherit
 	// it (see SetExecHook).
 	execHook ExecHook
-	// base records the counters at Snapshot time (zero on primary instances);
-	// AbsorbSnapshot folds deltas above it back into the parent.
-	base snapBase
+	// baseExecuted is executed at Snapshot time (zero on primary instances);
+	// AbsorbSnapshot folds the executions above it back into the parent.
+	baseExecuted int
 	// plans memoizes plans per (effects, index signature, query) and is
 	// shared with every snapshot of this DB (see plancache.go); plansOff
 	// bypasses it. groupKeys/groupSigs hold the lazily maintained sorted
@@ -59,28 +53,6 @@ type DB struct {
 	// Never shared: snapshots start with a nil scratch of their own.
 	scratch *plannerScratch
 }
-
-// FaultInjector is the engine-side fault-injection hook (implemented by
-// internal/faults.Injector). Both methods return the fraction of the
-// operation's cost that was wasted before the fault hit, and whether to
-// inject at all.
-type FaultInjector interface {
-	// QueryFault is consulted before executing q; when abort is true the
-	// execution dies after wastedFrac of its (timeout-capped) runtime.
-	QueryFault(q *Query) (wastedFrac float64, abort bool)
-	// IndexFault is consulted before building def; when fail is true the
-	// build dies after wastedFrac of its cost and the index does not exist.
-	IndexFault(def IndexDef) (wastedFrac float64, fail bool)
-}
-
-// SetFaultInjector installs (or, with nil, removes) the fault hook.
-func (db *DB) SetFaultInjector(fi FaultInjector) { db.faults = fi }
-
-// QueryAborts returns the number of injected query aborts so far.
-func (db *DB) QueryAborts() int { return db.queryAborts }
-
-// IndexFailures returns the number of injected index-build failures so far.
-func (db *DB) IndexFailures() int { return db.indexFailures }
 
 // NewDB creates a database with default settings and no indexes.
 func NewDB(f Flavor, catalog *Catalog, hw Hardware) *DB {
@@ -255,9 +227,6 @@ func (db *DB) IndexCreationSeconds(def IndexDef) float64 {
 
 // CreateIndex creates an index (idempotent) and advances the clock by its
 // creation time. It returns the seconds spent (0 when it already existed).
-// An injected build fault leaves the index absent but still costs the
-// partial build time; callers proceed without the index and a later
-// evaluation round retries the build.
 func (db *DB) CreateIndex(def IndexDef) float64 {
 	if db.HasIndex(def) {
 		return 0
@@ -266,14 +235,6 @@ func (db *DB) CreateIndex(def IndexDef) float64 {
 		return 0 // ignore indexes on unknown tables, as Postgres would error
 	}
 	secs := db.IndexCreationSeconds(def)
-	if db.faults != nil {
-		if frac, fail := db.faults.IndexFault(def); fail {
-			wasted := frac * secs
-			db.indexFailures++
-			db.clock.Advance(wasted)
-			return wasted
-		}
-	}
 	db.indexes[def.Key()] = def
 	db.noteIndexChange(def, true)
 	db.clock.Advance(secs)
@@ -353,14 +314,6 @@ func (db *DB) Execute(q *Query, timeout float64) ExecResult {
 	}
 	if db.execHook != nil {
 		db.execHook(q, capped)
-	}
-	if db.faults != nil {
-		if frac, abort := db.faults.QueryFault(q); abort {
-			wasted := frac * capped
-			db.queryAborts++
-			db.clock.Advance(wasted)
-			return ExecResult{Seconds: wasted, Complete: false, Aborted: true}
-		}
 	}
 	if capped < secs {
 		db.clock.Advance(capped)

@@ -107,10 +107,6 @@ type ExecResult struct {
 	// Seconds is the simulated time consumed (equals the timeout when the
 	// query was interrupted).
 	Seconds float64
-	// Complete is false when the query hit the timeout or aborted.
+	// Complete is false when the query hit the timeout.
 	Complete bool
-	// Aborted is true when an injected engine fault killed the query
-	// mid-flight (as opposed to a timeout interruption): the time in
-	// Seconds was wasted, and an immediate re-execution may succeed.
-	Aborted bool
 }

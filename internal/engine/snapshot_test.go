@@ -99,19 +99,3 @@ func TestAbsorbSnapshotFoldsCounterDeltas(t *testing.T) {
 		t.Fatalf("AbsorbSnapshot advanced the clock from %v to %v", clockBefore, db.Clock().Now())
 	}
 }
-
-func TestSnapshotDoesNotInheritFaultInjector(t *testing.T) {
-	db, _ := snapDB(t)
-	db.SetFaultInjector(stubInjector{})
-	if !db.HasFaultInjector() {
-		t.Fatal("injector not installed")
-	}
-	if db.Snapshot().HasFaultInjector() {
-		t.Fatal("snapshot inherited the fault injector; fault sequences are defined on the primary's clock")
-	}
-}
-
-type stubInjector struct{}
-
-func (stubInjector) QueryFault(q *Query) (float64, bool)    { return 0, false }
-func (stubInjector) IndexFault(ix IndexDef) (float64, bool) { return 0, false }

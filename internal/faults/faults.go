@@ -4,22 +4,26 @@
 // rate-limit bursts, truncated or garbage completions, killed queries,
 // failed index builds. The Injector reproduces that failure surface on the
 // simulated substrate: it is seeded (two runs with the same seed inject the
-// byte-identical fault sequence) and virtual-clock-aware (rate-limit bursts
-// span a window of simulated time, so waiting them out costs tuning time).
+// byte-identical faults) and virtual-clock-aware (rate-limit bursts span a
+// window of simulated time, so waiting them out costs tuning time).
 //
-// The injector plugs into the substrates through two small hook interfaces
-// it implements: llm.CompleteInterceptor (installed with llm.WithInterceptor
-// or SimClient.Intercept) and engine.FaultInjector (installed with
-// engine/DB.SetFaultInjector).
+// LLM faults come from one seeded stream through llm.CompleteInterceptor
+// (installed with llm.WithInterceptor or SimClient.Intercept): sampling runs
+// once, before selection, and a resumed run skips it. Engine faults are
+// hashed from what they hit, as in the counter-based generators of Salmon et
+// al. ("Parallel random numbers: as easy as 1, 2, 3", SC '11): the
+// evaluator asks EngineFault before every query execution and index build,
+// and the answer is the same on any replica and after any resume.
 package faults
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
 
-	"lambdatune/internal/engine"
 	"lambdatune/internal/obs"
 )
 
@@ -135,29 +139,26 @@ func NewPlan(llmRate, engineRate float64) Plan {
 	}
 }
 
-// Injector produces the plan's faults from seeded streams. It implements
-// llm.CompleteInterceptor and engine.FaultInjector. The LLM and engine
-// boundaries draw from independent streams, so the (few) LLM fault decisions
-// do not shift with the (many) per-query engine draws.
+// Injector produces the plan's faults: LLM faults from a seeded stream (it
+// implements llm.CompleteInterceptor), engine faults by key (EngineFault),
+// so no number of engine decisions shifts an LLM fault.
 type Injector struct {
 	plan   Plan
 	seed   int64
 	llmRng *rand.Rand
-	engRng *rand.Rand
-	// engDraws counts the engine stream's consumed draws; Snapshot exposes it
-	// so a resumed run can fast-forward a fresh injector to the same position.
-	engDraws int
-	clock    Clock
+	clock  Clock
 	// rateLimitedUntil is the virtual end of the current 429 burst.
 	rateLimitedUntil float64
-	counts           map[Kind]int
-	// tracer, when set, turns every injection into a fault.<kind> trace
-	// event on the run's root span (fault-injected runs are forced
-	// sequential, so the single-writer event order is deterministic).
+	// counts holds the LLM faults injected so far (the evaluator counts
+	// engine faults in each candidate's ConfigMeta).
+	counts map[Kind]int
+	// tracer, when set, turns every LLM fault into a fault.<kind> trace
+	// event on the run's root span (sampling is sequential, so the event
+	// order is deterministic).
 	tracer *obs.Tracer
 }
 
-// SetTracer makes every future injection emit a virtual-clock-stamped
+// SetTracer makes every future LLM fault emit a virtual-clock-stamped
 // fault.<kind> event on tr's root span. A nil tracer disables emission.
 func (in *Injector) SetTracer(tr *obs.Tracer) { in.tracer = tr }
 
@@ -174,53 +175,59 @@ func NewInjector(plan Plan, seed int64, clock Clock) *Injector {
 		plan:   plan,
 		seed:   seed,
 		llmRng: rand.New(rand.NewSource(seed)),
-		engRng: rand.New(rand.NewSource(seed + 7919)),
 		clock:  clock,
 		counts: map[Kind]int{},
 	}
 }
 
-// Snapshot returns the injector's resumable position: its seed, the number
-// of engine-stream draws consumed, and the per-kind fault counts keyed by
-// Kind.String(). Only the engine stream matters after a selector-round
-// checkpoint — LLM faults can only fire during sampling, which a resumed run
-// skips entirely — so the LLM stream's position is not captured.
-func (in *Injector) Snapshot() (seed int64, engineDraws int, counts map[string]int) {
-	counts = make(map[string]int, len(in.counts))
-	for k, v := range in.counts {
-		counts[k.String()] = v
+// EnginePlan returns what decides the engine faults: the seed and the
+// query-abort and index-failure rates. A nil injector returns zeros.
+func (in *Injector) EnginePlan() (seed int64, queryAbortRate, indexFailRate float64) {
+	if in == nil {
+		return 0, 0, 0
 	}
-	return in.seed, in.engDraws, counts
+	return in.seed, in.plan.QueryAbortRate, in.plan.IndexFailRate
 }
 
-// RestoreEngine fast-forwards the engine fault stream by draws and restores
-// the per-kind counts, so a resumed run sees the same remaining fault
-// sequence — and reports cumulative totals — as the uninterrupted one. Call
-// it on a fresh injector created with the same seed and plan.
-func (in *Injector) RestoreEngine(draws int, counts map[string]int) {
-	for i := in.engDraws; i < draws; i++ {
-		in.engRng.Float64()
+// EngineFault decides whether the operation keyed by (kind, candidate,
+// target, n) fails, and after what fraction of its cost: kind is QueryAbort
+// (target a query name) or IndexFail (target an index key), and n the
+// candidate's count of kind-faults so far, so a retry is a fresh decision.
+// It is a pure function of the key, the seed and the plan, safe for
+// concurrent use. A nil injector never fails anything.
+func (in *Injector) EngineFault(kind Kind, candidate, target string, n int) (wastedFrac float64, fail bool) {
+	if in == nil {
+		return 0, false
 	}
-	in.engDraws = draws
-	for name, n := range counts {
-		for k := LLMTransient; k <= IndexFail; k++ {
-			if k.String() == name {
-				in.counts[k] = n
-				break
-			}
-		}
+	rate := in.plan.QueryAbortRate
+	if kind == IndexFail {
+		rate = in.plan.IndexFailRate
 	}
+	if rate <= 0 {
+		return 0, false
+	}
+	// FNV-1a over the key seeds a splitmix64 state; its first output
+	// decides the fault, the second is the wasted fraction.
+	key := append(binary.LittleEndian.AppendUint64(nil, uint64(in.seed)), byte(kind))
+	key = append(append(append(append(key, candidate...), 0), target...), 0)
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(key, uint64(n)))
+	s := h.Sum64() + golden
+	if unit(s) >= rate {
+		return 0, false
+	}
+	return unit(s + golden), true
 }
 
-// engFloat draws from the engine stream, counting the draw for Snapshot.
-func (in *Injector) engFloat() float64 {
-	in.engDraws++
-	return in.engRng.Float64()
-}
+// golden is splitmix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
 
-// engHit is hit() on the counted engine stream.
-func (in *Injector) engHit(rate float64) bool {
-	return rate > 0 && in.engFloat() < rate
+// unit is splitmix64's output function on state z, scaled into [0, 1).
+func unit(z uint64) float64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }
 
 func (in *Injector) now() float64 {
@@ -239,7 +246,7 @@ func (in *Injector) record(k Kind) {
 	in.tracer.Root().Event("fault."+k.String(), in.now())
 }
 
-// Counts returns the number of injected faults per kind.
+// Counts returns the number of injected LLM faults per kind.
 func (in *Injector) Counts() map[Kind]int {
 	out := make(map[Kind]int, len(in.counts))
 	for k, v := range in.counts {
@@ -248,7 +255,7 @@ func (in *Injector) Counts() map[Kind]int {
 	return out
 }
 
-// Total returns the total number of injected faults.
+// Total returns the total number of injected LLM faults.
 func (in *Injector) Total() int {
 	n := 0
 	for _, v := range in.counts {
@@ -323,27 +330,4 @@ func (in *Injector) AfterComplete(response string) (string, error) {
 		response = strings.Join(lines, "\n")
 	}
 	return response, nil
-}
-
-// QueryFault implements engine.FaultInjector: with probability
-// QueryAbortRate the execution aborts after a random fraction of its
-// (timeout-capped) runtime was spent.
-func (in *Injector) QueryFault(q *engine.Query) (wastedFrac float64, abort bool) {
-	_ = q
-	if !in.engHit(in.plan.QueryAbortRate) {
-		return 0, false
-	}
-	in.record(QueryAbort)
-	return in.engFloat(), true
-}
-
-// IndexFault implements engine.FaultInjector: with probability
-// IndexFailRate the build fails after a random fraction of its cost.
-func (in *Injector) IndexFault(def engine.IndexDef) (wastedFrac float64, fail bool) {
-	_ = def
-	if !in.engHit(in.plan.IndexFailRate) {
-		return 0, false
-	}
-	in.record(IndexFail)
-	return in.engFloat(), true
 }

@@ -2,10 +2,9 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
-
-	"lambdatune/internal/engine"
 )
 
 // fakeClock is a settable virtual-time source.
@@ -23,10 +22,10 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 		if err != nil || out != "ALTER SYSTEM SET work_mem = '64MB';" {
 			t.Fatalf("call %d: response altered: %q %v", i, out, err)
 		}
-		if _, abort := in.QueryFault(nil); abort {
+		if _, abort := in.EngineFault(QueryAbort, "c", "q", i); abort {
 			t.Fatalf("call %d: unexpected query abort", i)
 		}
-		if _, fail := in.IndexFault(engine.IndexDef{}); fail {
+		if _, fail := in.EngineFault(IndexFail, "c", "t(c)", i); fail {
 			t.Fatalf("call %d: unexpected index failure", i)
 		}
 	}
@@ -42,7 +41,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			_ = in.BeforeComplete("p")
 			_, _ = in.AfterComplete("line1\nline2\nline3\n")
-			_, a := in.QueryFault(nil)
+			_, a := in.EngineFault(QueryAbort, "c", "q", i)
 			aborts = append(aborts, a)
 		}
 		return in.Summary(), aborts
@@ -68,7 +67,7 @@ func TestLLMStreamIndependentOfEngineDraws(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			errs = append(errs, in.BeforeComplete("p"))
 			for j := 0; j < engineDraws; j++ {
-				in.QueryFault(nil)
+				in.EngineFault(QueryAbort, "c", "q", j)
 			}
 		}
 		return errs
@@ -163,17 +162,85 @@ func TestMalformInsertsChatter(t *testing.T) {
 func TestEngineFaultFractions(t *testing.T) {
 	in := NewInjector(Plan{QueryAbortRate: 1, IndexFailRate: 1}, 1, nil)
 	for i := 0; i < 20; i++ {
-		frac, abort := in.QueryFault(nil)
+		frac, abort := in.EngineFault(QueryAbort, "c", "q", i)
 		if !abort || frac < 0 || frac >= 1 {
-			t.Fatalf("QueryFault = (%v, %v)", frac, abort)
+			t.Fatalf("query abort = (%v, %v)", frac, abort)
 		}
-		frac, fail := in.IndexFault(engine.IndexDef{})
+		frac, fail := in.EngineFault(IndexFail, "c", "t(c)", i)
 		if !fail || frac < 0 || frac >= 1 {
-			t.Fatalf("IndexFault = (%v, %v)", frac, fail)
+			t.Fatalf("index failure = (%v, %v)", frac, fail)
 		}
 	}
-	if in.Counts()[QueryAbort] != 20 || in.Counts()[IndexFail] != 20 {
-		t.Fatalf("counts = %v", in.Counts())
+	// Engine decisions are pure: they count nothing in the injector.
+	if in.Total() != 0 {
+		t.Fatalf("engine decisions counted: %v", in.Counts())
+	}
+}
+
+// TestEngineFaultIsKeyed: an engine fault decision is a function of its key
+// alone — no call order, interleaving or repetition changes it — and over
+// many distinct keys it hits at the plan's rate.
+func TestEngineFaultIsKeyed(t *testing.T) {
+	type key struct {
+		kind              Kind
+		candidate, target string
+		n                 int
+	}
+	var keys []key
+	for i := 0; i < 20000; i++ {
+		kind := QueryAbort
+		if i%2 == 1 {
+			kind = IndexFail
+		}
+		keys = append(keys, key{kind, fmt.Sprintf("llm-%d", i%7), fmt.Sprintf("q%d", i/7), i % 3})
+	}
+	in := NewInjector(NewPlan(0, 0.1), 5, nil) // 0.05 per kind
+	type decision struct {
+		frac float64
+		hit  bool
+	}
+	forward := make([]decision, len(keys))
+	hits := 0
+	for i, k := range keys {
+		frac, hit := in.EngineFault(k.kind, k.candidate, k.target, k.n)
+		forward[i] = decision{frac, hit}
+		if hit {
+			hits++
+		}
+	}
+	if rate := float64(hits) / float64(len(keys)); rate < 0.045 || rate > 0.055 {
+		t.Errorf("hit rate %.4f over %d keys, want 0.05 ± 0.005", rate, len(keys))
+	}
+	// Reverse order on a fresh injector, with LLM draws interleaved: the
+	// same decisions.
+	again := NewInjector(NewPlan(0.5, 0.1), 5, nil)
+	for i := len(keys) - 1; i >= 0; i-- {
+		_ = again.BeforeComplete("p")
+		k := keys[i]
+		frac, hit := again.EngineFault(k.kind, k.candidate, k.target, k.n)
+		if (decision{frac, hit}) != forward[i] {
+			t.Fatalf("key %+v: (%v, %v) in reverse order, (%v, %v) forward",
+				k, frac, hit, forward[i].frac, forward[i].hit)
+		}
+	}
+	// Every part of the key matters.
+	base := key{QueryAbort, "llm-1", "q1", 0}
+	differs := func(k key) bool {
+		in := NewInjector(Plan{QueryAbortRate: 1, IndexFailRate: 1}, 5, nil)
+		f0, _ := in.EngineFault(base.kind, base.candidate, base.target, base.n)
+		f1, _ := in.EngineFault(k.kind, k.candidate, k.target, k.n)
+		return f0 != f1
+	}
+	for _, k := range []key{{IndexFail, "llm-1", "q1", 0}, {QueryAbort, "llm-2", "q1", 0},
+		{QueryAbort, "llm-1", "q2", 0}, {QueryAbort, "llm-1", "q1", 1}, {QueryAbort, "llm-1q", "1", 0}} {
+		if !differs(k) {
+			t.Errorf("key %+v decides like %+v", k, base)
+		}
+	}
+	f5, _ := NewInjector(Plan{QueryAbortRate: 1}, 5, nil).EngineFault(QueryAbort, "llm-1", "q1", 0)
+	f6, _ := NewInjector(Plan{QueryAbortRate: 1}, 6, nil).EngineFault(QueryAbort, "llm-1", "q1", 0)
+	if f5 == f6 {
+		t.Error("the seed does not change the decision")
 	}
 }
 

@@ -3,8 +3,6 @@ package faults
 import (
 	"errors"
 	"testing"
-
-	"lambdatune/internal/engine"
 )
 
 func TestKillerAfterSampling(t *testing.T) {
@@ -63,50 +61,5 @@ func TestKillerZeroValueNeverKills(t *testing.T) {
 		if err := k.AfterCheckpoint(i); err != nil {
 			t.Fatalf("zero killer fired: %v", err)
 		}
-	}
-}
-
-// TestSnapshotRestoreEngine verifies that a fresh injector fast-forwarded to
-// a snapshot's position produces the same remaining fault sequence as the
-// original injector.
-func TestSnapshotRestoreEngine(t *testing.T) {
-	plan := NewPlan(0, 0.4)
-	q := &engine.Query{Name: "q", SQL: "SELECT 1"}
-	ix := engine.IndexDef{Table: "t", Columns: "c"}
-
-	orig := NewInjector(plan, 11, nil)
-	for i := 0; i < 25; i++ {
-		orig.QueryFault(q)
-		if i%5 == 0 {
-			orig.IndexFault(ix)
-		}
-	}
-	seed, draws, counts := orig.Snapshot()
-	if seed != 11 || draws == 0 {
-		t.Fatalf("snapshot: seed=%d draws=%d", seed, draws)
-	}
-
-	resumed := NewInjector(plan, seed, nil)
-	resumed.RestoreEngine(draws, counts)
-
-	// Counts restored.
-	if resumed.Total() != orig.Total() {
-		t.Fatalf("restored totals: %d != %d", resumed.Total(), orig.Total())
-	}
-	// Identical remaining stream.
-	for i := 0; i < 50; i++ {
-		w1, a1 := orig.QueryFault(q)
-		w2, a2 := resumed.QueryFault(q)
-		if w1 != w2 || a1 != a2 {
-			t.Fatalf("draw %d diverged: (%v,%v) vs (%v,%v)", i, w1, a1, w2, a2)
-		}
-		f1, b1 := orig.IndexFault(ix)
-		f2, b2 := resumed.IndexFault(ix)
-		if f1 != f2 || b1 != b2 {
-			t.Fatalf("index draw %d diverged", i)
-		}
-	}
-	if orig.Summary() != resumed.Summary() {
-		t.Errorf("summaries diverged: %q vs %q", orig.Summary(), resumed.Summary())
 	}
 }

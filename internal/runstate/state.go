@@ -1,7 +1,7 @@
 // Package runstate serializes the full resumable state of a tuning run —
 // the parsed candidate pool, the selector's round bookkeeping, the virtual
-// clock position, and (optionally) the fault injector's RNG position — into
-// a versioned, checksum-framed checkpoint. The tuner writes one checkpoint
+// clock position, and the sampling phase's LLM telemetry — into a
+// versioned, checksum-framed checkpoint. The tuner writes one checkpoint
 // after LLM sampling completes and one after every selector round; feeding
 // the latest checkpoint back through the resume path reproduces the
 // uninterrupted run's selection byte-for-byte (pinned by the golden-E1 chaos
@@ -35,8 +35,10 @@ import (
 // version newer than it with ErrCheckpointVersion — a checkpoint written by
 // a newer build must not be half-understood by an older one — while still
 // reading every older supported version (v2 added the racing rung state and
-// per-query times; v1 files decode with those fields absent).
-const Version = 2
+// per-query times, v3 index failures and LLM telemetry in place of the
+// retired fault-stream position; older files decode with the newer fields
+// absent, and a v2 injector block is ignored).
+const Version = 3
 
 // minVersion is the oldest checkpoint schema this build still reads.
 const minVersion = 1
@@ -81,6 +83,8 @@ type MetaState struct {
 	IndexTime  float64  `json:"index_time"`
 	Completed  []string `json:"completed,omitempty"`
 	Aborts     int      `json:"aborts,omitempty"`
+	// IndexFailures counts the index builds injected faults failed (v3).
+	IndexFailures int `json:"index_failures,omitempty"`
 	// QueryTimes carries the per-query observed seconds racing's surrogate
 	// fits from (v2; absent outside racing runs, so non-racing encodings are
 	// unchanged from v1 apart from the header version).
@@ -104,14 +108,17 @@ type RoundCheckpoint struct {
 	Race *race.State `json:"race,omitempty"`
 }
 
-// InjectorState is the fault injector's resumable position (see
-// faults.Injector.Snapshot). Only the engine-side stream matters after a
-// round checkpoint — LLM faults can only fire during sampling, which resume
-// skips.
-type InjectorState struct {
-	Seed        int64          `json:"seed"`
-	EngineDraws int            `json:"engine_draws"`
-	Counts      map[string]int `json:"counts,omitempty"`
+// LLMState is the sampling phase's LLM telemetry, the LLM counters of the
+// tuner's fault report: a resumed run skips sampling and reports these.
+type LLMState struct {
+	Calls              int     `json:"calls"`
+	Failures           int     `json:"failures,omitempty"`
+	Retries            int     `json:"retries,omitempty"`
+	BreakerTrips       int     `json:"breaker_trips,omitempty"`
+	FallbackCalls      int     `json:"fallback_calls,omitempty"`
+	BackoffSeconds     float64 `json:"backoff_seconds,omitempty"`
+	BreakerWaitSeconds float64 `json:"breaker_wait_seconds,omitempty"`
+	FailedCallSeconds  float64 `json:"failed_call_seconds,omitempty"`
 }
 
 // State is the full resumable state of a tuning run at a checkpoint.
@@ -140,14 +147,14 @@ type State struct {
 	// Candidates is the parsed candidate pool in sampling order — the paid-for
 	// LLM samples, never re-requested on resume.
 	Candidates []ConfigState `json:"candidates"`
-	// Warnings / DroppedSamples carry the sampling phase's non-fatal issues.
-	Warnings       []string `json:"warnings,omitempty"`
-	DroppedSamples int      `json:"dropped_samples,omitempty"`
+	// Warnings / DroppedSamples carry the sampling phase's non-fatal issues,
+	// LLM its resilience telemetry (v3; nil when it is all zero).
+	Warnings       []string  `json:"warnings,omitempty"`
+	DroppedSamples int       `json:"dropped_samples,omitempty"`
+	LLM            *LLMState `json:"llm,omitempty"`
 	// Round is the selector's last saved round state; nil when only sampling
 	// has finished (selection restarts from round 1 with the restored pool).
 	Round *RoundCheckpoint `json:"round,omitempty"`
-	// Injector is the fault injector's RNG position for fault-injected runs.
-	Injector *InjectorState `json:"injector,omitempty"`
 }
 
 // Validate checks the checkpoint against the run about to resume. A nil
@@ -277,7 +284,8 @@ func CaptureRound(rs *selector.RoundState) *RoundCheckpoint {
 		if m == nil {
 			continue
 		}
-		ms := MetaState{Time: m.Time, IsComplete: m.IsComplete, IndexTime: m.IndexTime, Aborts: m.Aborts}
+		ms := MetaState{Time: m.Time, IsComplete: m.IsComplete, IndexTime: m.IndexTime,
+			Aborts: m.Aborts, IndexFailures: m.IndexFailures}
 		for q, done := range m.Completed {
 			if done {
 				ms.Completed = append(ms.Completed, q)
@@ -312,6 +320,7 @@ func (rc *RoundCheckpoint) Restore() *selector.RoundState {
 		m.IsComplete = ms.IsComplete
 		m.IndexTime = ms.IndexTime
 		m.Aborts = ms.Aborts
+		m.IndexFailures = ms.IndexFailures
 		for _, q := range ms.Completed {
 			m.Completed[q] = true
 		}
@@ -342,7 +351,7 @@ func WorkloadDigest(name string, qs []*engine.Query) string {
 // make byte-identical selection decisions, so a checkpoint from one may
 // resume in the other. Parallelism is deliberately absent: selection is
 // parallelism-invariant, so a run checkpointed at Parallelism 1 may resume
-// at 4 and vice versa.
+// at 4 and vice versa. So are LLM fault rates: a resumed run skips sampling.
 type Fingerprint struct {
 	Flavor         string
 	Seed           int64
@@ -363,6 +372,10 @@ type Fingerprint struct {
 	RaceGrowth float64
 	RaceFinal  int
 	RaceNoElim bool
+	// The engine fault plan joins the digest only when a rate is nonzero.
+	FaultSeed      int64
+	QueryAbortRate float64
+	IndexFailRate  float64
 }
 
 // Digest condenses the fingerprint.
@@ -374,6 +387,9 @@ func (f Fingerprint) Digest() string {
 	if f.Racing {
 		fmt.Fprintf(h, " racing start=%g growth=%g final=%d noelim=%t",
 			f.RaceStart, f.RaceGrowth, f.RaceFinal, f.RaceNoElim)
+	}
+	if f.QueryAbortRate > 0 || f.IndexFailRate > 0 {
+		fmt.Fprintf(h, " faults seed=%d abort=%g ixfail=%g", f.FaultSeed, f.QueryAbortRate, f.IndexFailRate)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }

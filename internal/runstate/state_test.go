@@ -27,6 +27,7 @@ func sampleState() *State {
 	m.IsComplete = true
 	m.IndexTime = 3.25
 	m.Aborts = 1
+	m.IndexFailures = 2
 	m.Completed["q1"] = true
 	m.Completed["q9"] = true
 	m.Completed["q3"] = false // not completed: must not serialize
@@ -50,8 +51,9 @@ func sampleState() *State {
 		}),
 		Warnings:       []string{"sample 3 dropped: unparseable response"},
 		DroppedSamples: 1,
-		Round:          CaptureRound(rs),
-		Injector:       &InjectorState{Seed: 7, EngineDraws: 19, Counts: map[string]int{"query_abort": 2}},
+		LLM: &LLMState{Calls: 9, Failures: 4, Retries: 3, BreakerTrips: 1, FallbackCalls: 1,
+			BackoffSeconds: 3.5, BreakerWaitSeconds: 120, FailedCallSeconds: 8},
+		Round: CaptureRound(rs),
 	}
 }
 
@@ -72,8 +74,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Round == nil || got.Round.BestID != "llm-1" || got.Round.BestTime != st.Round.BestTime {
 		t.Errorf("round best did not round-trip: %+v", got.Round)
 	}
-	if got.Injector == nil || got.Injector.EngineDraws != 19 {
-		t.Errorf("injector did not round-trip: %+v", got.Injector)
+	if got.LLM == nil || *got.LLM != *st.LLM {
+		t.Errorf("LLM telemetry did not round-trip: %+v", got.LLM)
 	}
 
 	// Encoding is deterministic: same state, same bytes.
@@ -93,7 +95,7 @@ func TestRoundStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored round: %+v", rs)
 	}
 	m := rs.Metas["llm-1"]
-	if m == nil || m.Time != 42.5 || !m.IsComplete || m.IndexTime != 3.25 || m.Aborts != 1 {
+	if m == nil || m.Time != 42.5 || !m.IsComplete || m.IndexTime != 3.25 || m.Aborts != 1 || m.IndexFailures != 2 {
 		t.Fatalf("restored meta: %+v", m)
 	}
 	if !m.Completed["q1"] || !m.Completed["q9"] {
@@ -133,7 +135,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "checkpoint_v2.golden")
+	path := filepath.Join("testdata", "checkpoint_v3.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -157,7 +159,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 
 func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	data, _ := Encode(sampleState())
-	bumped := strings.Replace(string(data), "lambdatune-checkpoint v2 ", "lambdatune-checkpoint v9 ", 1)
+	bumped := strings.Replace(string(data), "lambdatune-checkpoint v3 ", "lambdatune-checkpoint v9 ", 1)
 	if _, err := Decode([]byte(bumped)); !errors.Is(err, ErrCheckpointVersion) {
 		t.Errorf("header version bump: got %v, want ErrCheckpointVersion", err)
 	}
@@ -165,13 +167,13 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	// covers the payload, so this requires reframing).
 	st := sampleState()
 	raw, _ := Encode(st)
-	tampered := strings.Replace(string(raw), `"version": 2`, `"version": 3`, 1)
+	tampered := strings.Replace(string(raw), `"version": 3`, `"version": 4`, 1)
 	if _, err := Decode(reframe(t, tampered)); !errors.Is(err, ErrCheckpointVersion) {
 		t.Errorf("payload version mismatch: got %v, want ErrCheckpointVersion", err)
 	}
 	// A supported payload version that disagrees with the header is corruption,
 	// not a version skew.
-	disagree := strings.Replace(string(raw), `"version": 2`, `"version": 1`, 1)
+	disagree := strings.Replace(string(raw), `"version": 3`, `"version": 2`, 1)
 	if _, err := Decode(reframe(t, disagree)); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("header/payload disagreement: got %v, want ErrCheckpointCorrupt", err)
 	}
@@ -196,6 +198,30 @@ func TestDecodeV1Checkpoint(t *testing.T) {
 	}
 	if rs := st.Round.Restore(); rs.Race != nil || rs.Metas["llm-1"].QueryTimes != nil {
 		t.Fatal("v1 restore invented v2 fields")
+	}
+}
+
+// TestDecodeV2Checkpoint: checkpoints written by v2 builds must keep
+// decoding — the v2 fixture is frozen for exactly this test. Its injector
+// block (the retired engine fault stream's position) is ignored.
+func TestDecodeV2Checkpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"injector"`) {
+		t.Fatal("v2 fixture lost its injector block")
+	}
+	st, err := Decode(data)
+	if err != nil {
+		t.Fatalf("v2 checkpoint no longer decodes: %v", err)
+	}
+	if st.Version != 2 || st.RunID != "golden-run" || st.LLM != nil {
+		t.Fatalf("v2 decode: version=%d run=%s llm=%+v", st.Version, st.RunID, st.LLM)
+	}
+	rs := st.Round.Restore()
+	if m := rs.Metas["llm-1"]; m.Aborts != 1 || m.IndexFailures != 0 || rs.Race == nil {
+		t.Fatalf("v2 restore: meta %+v race %+v", m, rs.Race)
 	}
 }
 
@@ -293,6 +319,28 @@ func TestFingerprintDigest(t *testing.T) {
 	withKnobs.RaceFinal = 3
 	if withKnobs.Digest() != base.Digest() {
 		t.Error("racing knobs changed a non-racing digest")
+	}
+	// Likewise a fault seed without engine fault rates: every fault-free
+	// digest is unchanged.
+	seedOnly := base
+	seedOnly.FaultSeed = 9
+	if seedOnly.Digest() != base.Digest() {
+		t.Error("a fault seed without rates changed the digest")
+	}
+	// Each part of an engine fault plan changes the digest.
+	faulty := base
+	faulty.FaultSeed, faulty.QueryAbortRate, faulty.IndexFailRate = 1, 0.05, 0.05
+	plans := []Fingerprint{faulty, faulty, faulty, faulty}
+	plans[1].FaultSeed = 2
+	plans[2].QueryAbortRate = 0.1
+	plans[3].IndexFailRate = 0
+	seen = map[string]bool{base.Digest(): true}
+	for _, p := range plans {
+		if d := p.Digest(); seen[d] {
+			t.Errorf("fault plan %+v collides", p)
+		} else {
+			seen[d] = true
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package runstate
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,7 +190,7 @@ func TestStoreVersionMismatchNoFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(s.Path())
-	bumped := strings.Replace(string(data), " v2 ", " v9 ", 1)
+	bumped := strings.Replace(string(data), fmt.Sprintf(" v%d ", Version), " v9 ", 1)
 	if err := os.WriteFile(s.Path(), []byte(bumped), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,8 @@ type EvaluationOptions struct {
 	// Parallelism is the number of concurrent evaluation workers (simulated
 	// DBMS replicas). 0 or 1 evaluates sequentially; higher values evaluate
 	// each round's candidates concurrently with identical selection decisions
-	// (same best configuration, same speedup) and lower wall-clock time.
-	// Negative is invalid. Runs with Faults installed always evaluate
-	// sequentially.
+	// (same best configuration, same speedup) and lower wall-clock time,
+	// injected Faults included. Negative is invalid.
 	Parallelism int
 	// InitialTimeout is the first evaluation round's per-configuration
 	// timeout in seconds (paper default: 10). 0 means the default; negative
@@ -84,8 +83,8 @@ type EvaluationOptions struct {
 // DurabilityOptions groups crash-recovery knobs.
 type DurabilityOptions struct {
 	// CheckpointDir, when set, makes the run crash-recoverable: its full
-	// resumable state (candidate pool, consumed LLM samples, selector round
-	// bookkeeping, virtual clock, fault-injector position) is durably
+	// resumable state (candidate pool, consumed LLM samples and their fault
+	// telemetry, selector round bookkeeping, virtual clock) is durably
 	// checkpointed into this directory — fsync'd and atomically renamed —
 	// after LLM sampling completes and after every selection round. The
 	// checkpoint file is named after the workload and seed, so concurrent
@@ -98,15 +97,16 @@ type DurabilityOptions struct {
 	// configuration — byte for byte — as the uninterrupted run. A corrupt
 	// live checkpoint (torn write) silently falls back to the previous
 	// generation (Result.CheckpointFellBack reports it); a checkpoint from a
-	// different workload or differently configured run is refused with
-	// ErrCheckpointMismatch.
+	// different workload or differently configured run (another engine
+	// fault plan included) is refused with ErrCheckpointMismatch.
 	Resume bool
 }
 
 // ObservabilityOptions groups the run's telemetry sinks.
 type ObservabilityOptions struct {
 	// Trace, when set, records the run as a span tree (see Trace). Injected
-	// faults appear as events on the trace root.
+	// LLM faults appear as events on the trace root, engine faults on the
+	// span of the candidate they hit.
 	Trace *Trace
 	// Metrics, when set, receives the run's tuner_* counters and gauges —
 	// plus the backend_* surface series when the database is instrumented
@@ -333,7 +333,8 @@ type FaultPlan struct {
 	// EngineRate is the per-operation probability of an injected engine
 	// fault (query abort, index-build failure).
 	EngineRate float64
-	// Seed drives the injected fault sequence (0 = Options.Seed).
+	// Seed drives the injected faults (0 = Options.Seed). A plan whose
+	// rates are both 0 injects nothing; only its crash points act.
 	Seed int64
 	// CrashAfterRound, when > 0, simulates a crash immediately after the
 	// durable checkpoint that closes selection round N: the run returns an

@@ -64,12 +64,12 @@ func TestTuneWithFaultPlan(t *testing.T) {
 	}
 }
 
-// TestInstrumentedFaultRunMatchesPlain: the instrumented decorator forwards
-// fault injection untouched — a fault-injected run selects the same
-// configuration, costs the same virtual time and survives the same faults
-// with and without Instrument. Parallelism 4 makes the forwarding of
-// HasFaultInjector observable: a decorator that lost the injector would send
-// the run down the parallel path and change its tuning seconds.
+// TestInstrumentedFaultRunMatchesPlain: the instrumented decorator leaves a
+// fault-injected run untouched — the evaluator decides engine faults above
+// the backend, so the decorator never sees them, and the run selects the
+// same configuration, costs the same virtual time and survives the same
+// faults with and without Instrument. Parallelism 4 runs the faults on
+// replicas, through the decorator's snapshots.
 func TestInstrumentedFaultRunMatchesPlain(t *testing.T) {
 	tune := func(instrument bool) *Result {
 		db, w, err := Benchmark("tpch-1", Postgres)

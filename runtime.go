@@ -1,6 +1,7 @@
 package lambdatune
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -384,12 +385,7 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 	}
 	var inner llm.Client = client
 	if opts.Faults != nil {
-		decorate, cleanup, ferr := wireFaults(d, opts, topts.Trace, topts.Resume, store, &inner)
-		if ferr != nil {
-			return nil, ferr
-		}
-		topts.DecorateState = decorate
-		defer cleanup()
+		topts.Faults = wireFaults(d, opts, topts.Trace, store, &inner)
 	}
 	// Tenant scoping sits above the fault interceptor (injected faults
 	// count against the tenant's breaker) and below the per-job
@@ -478,12 +474,9 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 }
 
 // wireFaults installs the chaos kill points for one run and, when a fault
-// rate is nonzero, the fault injector. It wraps *inner with the LLM fault
-// interceptor and returns the checkpoint decorator that stamps the
-// injector's RNG position, plus the cleanup that detaches the injector from
-// the backend. tr is the run's tracer and resume its loaded checkpoint
-// state (both may be nil).
-func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.State, store *runstate.Store, inner *llm.Client) (func(*runstate.State), func(), error) {
+// rate is nonzero, returns the fault injector for the tuner's engine faults,
+// with *inner wrapped in its LLM interceptor. tr may be nil.
+func wireFaults(d *Database, opts Options, tr *obs.Tracer, store *runstate.Store, inner *llm.Client) *faults.Injector {
 	// Chaos kill points: simulate a crash right after a durable
 	// checkpoint — the bytes are on disk, the process "dies".
 	if k := (&faults.Killer{AfterRound: opts.Faults.CrashAfterRound,
@@ -496,37 +489,15 @@ func wireFaults(d *Database, opts Options, tr *obs.Tracer, resume *runstate.Stat
 			return k.AfterCheckpoint(round)
 		}
 	}
-	// A plan of kill points alone injects nothing, so it installs no
-	// injector: the run keeps its Parallelism.
+	// A plan of kill points alone injects nothing, so it is no fault plan.
 	if opts.Faults.LLMRate == 0 && opts.Faults.EngineRate == 0 {
-		return nil, func() {}, nil
-	}
-	db := d.db
-	seed := opts.Faults.Seed
-	if seed == 0 {
-		seed = opts.Seed
+		return nil
 	}
 	plan := faults.NewPlan(opts.Faults.LLMRate, opts.Faults.EngineRate)
-	inj := faults.NewInjector(plan, seed, db.Clock())
+	inj := faults.NewInjector(plan, cmp.Or(opts.Faults.Seed, opts.Seed), d.db.Clock())
 	inj.SetTracer(tr)
-	db.SetFaultInjector(inj)
 	// The injector wraps the raw client, so the resilience layer (added
 	// by the tuner on top) sees the injected faults as transport errors.
 	*inner = llm.WithInterceptor(*inner, inj)
-	if resume != nil && resume.Injector != nil {
-		if resume.Injector.Seed != seed {
-			db.SetFaultInjector(nil)
-			return nil, nil, fmt.Errorf("%w: fault seed %d differs from checkpoint's %d",
-				runstate.ErrCheckpointMismatch, seed, resume.Injector.Seed)
-		}
-		inj.RestoreEngine(resume.Injector.EngineDraws, resume.Injector.Counts)
-	}
-	// Every checkpoint carries the injector's RNG position, and a resumed
-	// run fast-forwards a fresh injector there — so the fault sequence
-	// after the crash matches the uninterrupted run's.
-	decorate := func(st *runstate.State) {
-		s, draws, counts := inj.Snapshot()
-		st.Injector = &runstate.InjectorState{Seed: s, EngineDraws: draws, Counts: counts}
-	}
-	return decorate, func() { db.SetFaultInjector(nil) }, nil
+	return inj
 }
