@@ -121,3 +121,60 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Error("seed-2 resume from seed-1 checkpoint succeeded")
 	}
 }
+
+// TestResumeRefusesAnotherEngineFaultPlan: the engine fault plan is part of
+// a checkpoint's options digest. Resuming under another rate or seed, with
+// the faults dropped or with faults added fails with ErrCheckpointMismatch.
+// A plan of kill points alone is no plan, a zero fault seed is Options.Seed,
+// and LLM rates act only in sampling, which a resume skips.
+func TestResumeRefusesAnotherEngineFaultPlan(t *testing.T) {
+	client := lambdatune.NewSimulatedLLM(1)
+	engine := &lambdatune.FaultPlan{EngineRate: 0.1, Seed: 3}
+	cases := []struct {
+		name           string
+		saved, resumed *lambdatune.FaultPlan
+		wantMismatch   bool
+	}{
+		{"same plan", engine, engine, false},
+		{"another rate", engine, &lambdatune.FaultPlan{EngineRate: 0.2, Seed: 3}, true},
+		{"another seed", engine, &lambdatune.FaultPlan{EngineRate: 0.1, Seed: 4}, true},
+		{"faults dropped", engine, nil, true},
+		{"faults dropped, LLM rate kept", &lambdatune.FaultPlan{LLMRate: 0.3, EngineRate: 0.1, Seed: 3},
+			&lambdatune.FaultPlan{LLMRate: 0.3, Seed: 3}, true},
+		{"faults added", nil, engine, true},
+		{"kill points only", nil, &lambdatune.FaultPlan{CrashAfterRound: 99}, false},
+		{"another LLM rate", &lambdatune.FaultPlan{LLMRate: 0.3, EngineRate: 0.1, Seed: 3}, engine, false},
+		{"zero seed is Options.Seed", &lambdatune.FaultPlan{EngineRate: 0.1, Seed: 1},
+			&lambdatune.FaultPlan{EngineRate: 0.1}, false},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		db, w, err := lambdatune.Benchmark("tpch-1", lambdatune.Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := lambdatune.DefaultOptions()
+		opts.Durability.CheckpointDir = dir
+		opts.Faults = &lambdatune.FaultPlan{CrashAfterSaves: 2}
+		if tc.saved != nil {
+			saved := *tc.saved
+			saved.CrashAfterSaves = 2
+			opts.Faults = &saved
+		}
+		if _, err := db.Tune(w, client, opts); !errors.Is(err, lambdatune.ErrKilled) {
+			t.Fatalf("%s: expected ErrKilled, got %v", tc.name, err)
+		}
+		db, w, _ = lambdatune.Benchmark("tpch-1", lambdatune.Postgres)
+		opts = lambdatune.DefaultOptions()
+		opts.Durability.CheckpointDir = dir
+		opts.Durability.Resume = true
+		opts.Faults = tc.resumed
+		_, err = db.Tune(w, client, opts)
+		if got := errors.Is(err, lambdatune.ErrCheckpointMismatch); got != tc.wantMismatch {
+			t.Errorf("%s: resume error %v, want mismatch %v", tc.name, err, tc.wantMismatch)
+		}
+		if !tc.wantMismatch && err != nil {
+			t.Errorf("%s: resume failed: %v", tc.name, err)
+		}
+	}
+}
