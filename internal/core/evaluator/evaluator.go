@@ -363,7 +363,6 @@ func (e *Evaluator) createIndex(cfg *engine.Config, ix engine.IndexDef, meta *Co
 		e.Span.Event("fault."+faults.IndexFail.String(), clock.Now(), obs.String("index", ix.Key()))
 		secs = frac * e.DB.IndexCreationSeconds(ix)
 		clock.Advance(secs)
-		sp.SetAttrs(obs.Bool("failed", true))
 	} else {
 		secs = e.DB.CreateIndex(ix)
 	}
