@@ -341,8 +341,8 @@ func (e *Evaluator) runQuery(cfg *engine.Config, q *engine.Query, budget float64
 // bumps the index-build counter. Indexes listed in FreeIndexes — another
 // candidate in the same racing rung already paid their build cost — are
 // materialized without advancing the virtual clock and torn down when the
-// pass ends; they never fail. A build an injected fault fails charges the
-// wasted fraction of its cost and leaves no index.
+// pass ends; they never fail. An injected fault fails a build on a known
+// table after a fraction of its cost, leaving no index.
 func (e *Evaluator) createIndex(cfg *engine.Config, ix engine.IndexDef, meta *ConfigMeta) float64 {
 	clock := e.DB.Clock()
 	if e.FreeIndexes[ix.Key()] {

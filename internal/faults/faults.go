@@ -209,7 +209,8 @@ func (in *Injector) EngineFault(kind Kind, candidate, target string, n int) (was
 	// FNV-1a over the key seeds a splitmix64 state; its first output
 	// decides the fault, the second is the wasted fraction.
 	key := append(binary.LittleEndian.AppendUint64(nil, uint64(in.seed)), byte(kind))
-	key = append(append(append(append(key, candidate...), 0), target...), 0)
+	key = append(append(key, candidate...), 0)
+	key = append(append(key, target...), 0)
 	h := fnv.New64a()
 	h.Write(binary.LittleEndian.AppendUint64(key, uint64(n)))
 	s := h.Sum64() + golden
