@@ -58,15 +58,15 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
-func TestLLMStreamIndependentOfEngineDraws(t *testing.T) {
+func TestLLMStreamIndependentOfEngineDecisions(t *testing.T) {
 	// The LLM fault sequence must not shift when the number of interleaved
-	// engine-side draws changes (queries executed varies run to run).
-	seq := func(engineDraws int) []error {
+	// engine fault decisions changes (queries executed varies run to run).
+	seq := func(engineDecisions int) []error {
 		in := NewInjector(NewPlan(0.8, 0.5), 7, nil)
 		var errs []error
 		for i := 0; i < 20; i++ {
 			errs = append(errs, in.BeforeComplete("p"))
-			for j := 0; j < engineDraws; j++ {
+			for j := 0; j < engineDecisions; j++ {
 				in.EngineFault(QueryAbort, "c", "q", j)
 			}
 		}
@@ -75,7 +75,7 @@ func TestLLMStreamIndependentOfEngineDraws(t *testing.T) {
 	a, b := seq(0), seq(13)
 	for i := range a {
 		if (a[i] == nil) != (b[i] == nil) {
-			t.Fatalf("LLM fault decision %d depends on engine draw count", i)
+			t.Fatalf("LLM fault decision %d depends on the engine decision count", i)
 		}
 	}
 }
