@@ -5,23 +5,19 @@
 // CREATE INDEX) — and Backend codifies those surfaces plus the accessors the
 // pipeline needs (flavor, catalog, hardware, virtual clock), snapshotting for
 // parallel evaluation, and the plan-cache toggle. Injected engine faults are
-// not part of the contract: the evaluator decides them above the backend. Everything
-// above this package (core/tuner, core/selector, core/evaluator, core/prompt,
-// the baselines, the bench harness, and the public API) talks to a Backend;
-// only scenario setup and studies that need the simulator's extras (raw
-// settings, execution hooks) hold the concrete *Sim.
+// not part of the contract: the evaluator decides them above the backend.
+// Everything above this package (core/tuner, core/selector, core/evaluator,
+// core/prompt, the baselines, the bench harness, and the public API) talks to
+// a Backend; only scenario setup and studies that need the simulator's extras
+// (raw settings, execution hooks) hold the concrete *Sim.
 //
-// Implementations register an Opener under a name (Register); Open
-// instantiates one from a Spec. The built-in simulator registers as "sim" and
-// the instrumented decorator (package backend/instrumented) as
-// "instrumented". Any implementation must pass the conformance suite in
-// backend/backendtest.
+// Open instantiates the simulator from a Spec; the instrumented decorator
+// (package backend/instrumented) wraps any Backend. Any implementation must
+// pass the conformance suite in backend/backendtest.
 package backend
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"lambdatune/internal/engine"
 )
@@ -98,10 +94,6 @@ type Backend interface {
 	// evaluation: its own clock starting at the parent's current time, its
 	// own configuration and index set, shared immutable statistics.
 	Snapshot() Backend
-	// AbsorbSnapshot folds a replica's operation counters back into this
-	// instance. evaluator.Pool snapshots one replica per worker and absorbs
-	// them after each round.
-	AbsorbSnapshot(Backend)
 
 	// PlanCacheStats returns the plan-memoization counters (hits, misses,
 	// evictions), shared with every snapshot taken from this instance.
@@ -117,59 +109,26 @@ type Backend interface {
 	PlanCacheEnabled() bool
 }
 
-// Spec carries everything an Opener needs to instantiate a backend for one
-// tuned database.
+// Spec carries everything Open needs to instantiate a backend for one tuned
+// database.
 type Spec struct {
 	Flavor   engine.Flavor
 	Catalog  *engine.Catalog
 	Hardware engine.Hardware
 }
 
-// Opener instantiates a backend from a spec.
-type Opener func(Spec) (Backend, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Opener{}
-)
-
-// Register makes a backend implementation available under name. It panics on
-// a duplicate or empty name — registration is an init-time programming
-// contract, like database/sql drivers.
-func Register(name string, open Opener) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || open == nil {
-		panic("backend: Register with empty name or nil opener")
-	}
-	if _, dup := registry[name]; dup {
-		panic("backend: Register called twice for " + name)
-	}
-	registry[name] = open
-}
-
-// Open instantiates the backend registered under name.
+// Open instantiates the backend named name from spec. The simulator, "sim",
+// is the only one; a zero Hardware means engine.DefaultHardware.
 func Open(name string, spec Spec) (Backend, error) {
-	registryMu.RLock()
-	open, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (registered: %v)", name, List())
+	if name != "sim" {
+		return nil, fmt.Errorf("backend: unknown backend %q (want \"sim\")", name)
 	}
 	if spec.Catalog == nil {
 		return nil, fmt.Errorf("backend: open %q: spec has no catalog", name)
 	}
-	return open(spec)
-}
-
-// List returns the registered backend names, sorted.
-func List() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	hw := spec.Hardware
+	if hw == (engine.Hardware{}) {
+		hw = engine.DefaultHardware
 	}
-	sort.Strings(out)
-	return out
+	return NewSim(spec.Flavor, spec.Catalog, hw), nil
 }

@@ -3,9 +3,9 @@
 // relies on — the clock semantics of the four observation surfaces, typed
 // configuration rejection, idempotent index-creation cost accounting, clock
 // monotonicity, replica isolation, and plan-cache coherence.
-// The suite runs on a TPC-H 1GB Postgres spec; register a backend and run
-// Run against its Open function, as internal/backend's conformance test does
-// for every registered backend.
+// The suite runs on a TPC-H 1GB Postgres spec; run Run against a function
+// that opens the backend, as internal/backend's conformance test does for the
+// simulator and the instrumented decorator.
 package backendtest
 
 import (
@@ -319,10 +319,6 @@ func testClockMonotonicity(t *testing.T, f Factory) {
 	check("DropTransientIndexes")
 }
 
-// executionCounter is implemented by backends that count completed query
-// executions (the simulator and the instrumented decorator over it).
-type executionCounter interface{ Executions() int }
-
 // statsReporter is implemented by backends that report per-surface
 // observation statistics into a metrics registry (the instrumented
 // decorator), as the backend_<surface>_* series.
@@ -334,9 +330,7 @@ var surfaceNames = []string{"apply_config", "create_index", "run_query", "explai
 
 // testSnapshotIsolation: replicas must be isolated — their clocks,
 // configurations and index sets evolve independently, and whatever a replica
-// plans or caches leaves the parent's measurements exactly as they were —
-// and AbsorbSnapshot folds execution counters back into the parent when the
-// backend counts executions.
+// plans or caches leaves the parent's measurements exactly as they were.
 func testSnapshotIsolation(t *testing.T, f Factory) {
 	b := open(t, f)
 	qs := queries(t)
@@ -382,24 +376,14 @@ func testSnapshotIsolation(t *testing.T, f Factory) {
 	if got := snap.WorkloadSeconds(qs); got != parentTime {
 		t.Error("parent reconfiguration changed the replica's measurements")
 	}
-
-	// Counter folding, when the backend counts executions.
-	if ec, counts := b.(executionCounter); counts {
-		before := ec.Executions()
-		b.AbsorbSnapshot(snap)
-		if got := ec.Executions(); got != before+1 {
-			t.Errorf("AbsorbSnapshot: parent executions %d, want %d", got, before+1)
-		}
-	} else {
-		b.AbsorbSnapshot(snap)
-	}
 }
 
 // testInstrumentedMonotonicity: when the backend reports per-surface
 // statistics, each observation-surface call must monotonically increase that
 // surface's call counter (and only that surface's), errors must count against
 // the erroring surface, and the virtual-time series must absorb exactly the
-// time the call charged to the clock.
+// time the call charged to the clock. A snapshot's calls count in the
+// parent's registry, exactly once each: that is how replica work is counted.
 func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	b := open(t, f)
 	ins, ok := b.(statsReporter)
@@ -443,6 +427,8 @@ func testInstrumentedMonotonicity(t *testing.T, f Factory) {
 	step("run_query", false, func() { b.RunQuery(q, math.Inf(1)) })
 	// An interrupted query is an error on the run_query surface.
 	step("run_query", true, func() { b.RunQuery(q, b.QuerySeconds(q)/2) })
+	snap := b.Snapshot()
+	step("run_query", false, func() { snap.RunQuery(q, math.Inf(1)) })
 	step("apply_config", false, func() {
 		if err := b.ApplyConfig(&engine.Config{ID: "ok", Params: map[string]string{"work_mem": "256MB"}}); err != nil {
 			t.Fatalf("ApplyConfig: %v", err)

@@ -6,33 +6,34 @@ import (
 
 	"lambdatune/internal/backend"
 	"lambdatune/internal/backend/backendtest"
-	_ "lambdatune/internal/backend/instrumented" // registers "instrumented"
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/workload"
 )
 
 // TestRegisteredBackendsConformance runs the behavioral contract against
-// every registered backend — the simulator, the instrumented decorator, and
-// (inside the suite) snapshots of both.
+// both backends this repo ships — the simulator Open("sim") builds and the
+// instrumented decorator wrapping it — and (inside the suite) snapshots of
+// both.
 func TestRegisteredBackendsConformance(t *testing.T) {
-	names := backend.List()
-	if len(names) < 2 {
-		t.Fatalf("expected at least sim and instrumented registered, got %v", names)
-	}
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			backendtest.Run(t, func(spec backend.Spec) (backend.Backend, error) {
-				return backend.Open(name, spec)
-			})
+	t.Run("sim", func(t *testing.T) { backendtest.Run(t, openSim) })
+	t.Run("instrumented", func(t *testing.T) {
+		backendtest.Run(t, func(spec backend.Spec) (backend.Backend, error) {
+			b, err := openSim(spec)
+			if err != nil {
+				return nil, err
+			}
+			return instrumented.Wrap(b), nil
 		})
-	}
+	})
 }
 
-// TestOpenUnknownBackend pins the registry's error behavior.
+func openSim(spec backend.Spec) (backend.Backend, error) { return backend.Open("sim", spec) }
+
+// TestOpenUnknownBackend pins Open's error behavior.
 func TestOpenUnknownBackend(t *testing.T) {
 	if _, err := backend.Open("no-such-backend", backendtest.Spec()); err == nil {
-		t.Fatal("Open of an unregistered backend succeeded")
+		t.Fatal("Open of an unknown backend succeeded")
 	}
 	spec := backendtest.Spec()
 	spec.Catalog = nil
@@ -52,7 +53,7 @@ func BenchmarkBackendDispatch(b *testing.B) {
 		db := engine.NewDB(engine.Postgres, w.Catalog, engine.DefaultHardware)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			db.Execute(q, math.Inf(1))
+			db.RunQuery(q, math.Inf(1))
 		}
 	})
 	b.Run("interface", func(b *testing.B) {
@@ -63,10 +64,7 @@ func BenchmarkBackendDispatch(b *testing.B) {
 		}
 	})
 	b.Run("instrumented", func(b *testing.B) {
-		be, err := backend.Open("instrumented", backendtest.Spec())
-		if err != nil {
-			b.Fatal(err)
-		}
+		var be backend.Backend = instrumented.Wrap(backend.NewSim(engine.Postgres, w.Catalog, engine.DefaultHardware))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			be.RunQuery(q, math.Inf(1))

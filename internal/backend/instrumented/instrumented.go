@@ -2,10 +2,10 @@
 // telemetry: every call to one of the paper's four observation surfaces is
 // counted and timed (wall clock and virtual clock) into an obs.Registry, the
 // decorator's only sink. Injected engine faults are decided above the
-// backend, in the evaluator, so the decorator never sees them. It exists both as a practical telemetry layer
-// (Database.BackendReport prints the numbers) and as proof that the backend
-// seam composes: the decorator is itself a conforming Backend and registers
-// as "instrumented" so it participates in the conformance suite.
+// backend, in the evaluator, so the decorator never sees them. It exists both
+// as a practical telemetry layer (Database.BackendReport prints the numbers)
+// and as proof that the backend seam composes: the decorator is itself a
+// conforming Backend, and the conformance suite runs against it.
 package instrumented
 
 import (
@@ -19,16 +19,6 @@ import (
 	"lambdatune/internal/engine"
 	"lambdatune/internal/obs"
 )
-
-func init() {
-	backend.Register("instrumented", func(spec backend.Spec) (backend.Backend, error) {
-		inner, err := backend.Open("sim", spec)
-		if err != nil {
-			return nil, err
-		}
-		return Wrap(inner), nil
-	})
-}
 
 // surfaceNames are the paper's four observation surfaces, in report order.
 // Each feeds backend_<surface>_{calls,errors,virtual_seconds,wall_seconds}_total
@@ -75,15 +65,15 @@ func newSink(reg *obs.Registry) *sink {
 // Wrap; snapshots share the wrapped instance's sink, so replica work is
 // counted in the same registry.
 type Backend struct {
-	inner backend.Backend
-	sink  *atomic.Pointer[sink]
+	backend.Backend // the wrapped backend, whose other methods pass through
+	sink            *atomic.Pointer[sink]
 }
 
-// Wrap decorates inner, feeding a fresh registry. The returned backend
-// forwards every method; only the four paper surfaces (ApplyConfig,
-// CreateIndex, RunQuery, Explain) are instrumented.
+// Wrap decorates inner, feeding a fresh registry. Only the four paper
+// surfaces (ApplyConfig, CreateIndex, RunQuery, Explain) are instrumented;
+// every other method is inner's own.
 func Wrap(inner backend.Backend) *Backend {
-	b := &Backend{inner: inner, sink: new(atomic.Pointer[sink])}
+	b := &Backend{Backend: inner, sink: new(atomic.Pointer[sink])}
 	b.sink.Store(newSink(obs.NewRegistry()))
 	return b
 }
@@ -91,15 +81,7 @@ func Wrap(inner backend.Backend) *Backend {
 // Snapshot clones the inner backend and wraps the clone with this decorator's
 // sink, so work done on replicas aggregates with the parent's.
 func (b *Backend) Snapshot() backend.Backend {
-	return &Backend{inner: b.inner.Snapshot(), sink: b.sink}
-}
-
-// AbsorbSnapshot folds a replica's counters back into the inner backend.
-func (b *Backend) AbsorbSnapshot(o backend.Backend) {
-	if ib, ok := o.(*Backend); ok {
-		o = ib.inner
-	}
-	b.inner.AbsorbSnapshot(o)
+	return &Backend{Backend: b.Backend.Snapshot(), sink: b.sink}
 }
 
 // AttachMetrics re-points the decorator, and every snapshot sharing its
@@ -152,7 +134,7 @@ func fmtSeconds(s float64) string {
 // observe records one call on surface i, timed from (start, v0): four
 // lock-free counter bumps and one histogram observation.
 func (b *Backend) observe(i int, start time.Time, v0 float64, failed bool) {
-	wall, virtual := time.Since(start).Seconds(), b.inner.Clock().Now()-v0
+	wall, virtual := time.Since(start).Seconds(), b.Clock().Now()-v0
 	s := &b.sink.Load().surfaces[i]
 	s.calls.Inc()
 	if failed {
@@ -163,99 +145,34 @@ func (b *Backend) observe(i int, start time.Time, v0 float64, failed bool) {
 	s.virtHist.Observe(virtual)
 }
 
-// Plain accessors: forwarded untouched.
-
-// Flavor returns the inner backend's flavor.
-func (b *Backend) Flavor() engine.Flavor { return b.inner.Flavor() }
-
-// Catalog returns the inner backend's catalog.
-func (b *Backend) Catalog() *engine.Catalog { return b.inner.Catalog() }
-
-// Hardware returns the inner backend's hardware description.
-func (b *Backend) Hardware() engine.Hardware { return b.inner.Hardware() }
-
-// Clock returns the inner backend's virtual clock.
-func (b *Backend) Clock() *engine.Clock { return b.inner.Clock() }
-
-// Instrumented surfaces.
-
 // ApplyConfig forwards and counts the configuration-acceptance surface.
 func (b *Backend) ApplyConfig(cfg *engine.Config) error {
-	start, v0 := time.Now(), b.inner.Clock().Now()
-	err := b.inner.ApplyConfig(cfg)
+	start, v0 := time.Now(), b.Clock().Now()
+	err := b.Backend.ApplyConfig(cfg)
 	b.observe(applyConfig, start, v0, err != nil)
 	return err
 }
 
 // CreateIndex forwards and counts the index-creation surface.
 func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
-	start, v0 := time.Now(), b.inner.Clock().Now()
-	secs := b.inner.CreateIndex(def)
+	start, v0 := time.Now(), b.Clock().Now()
+	secs := b.Backend.CreateIndex(def)
 	b.observe(createIndex, start, v0, false)
 	return secs
 }
 
 // RunQuery forwards and counts the timed-execution surface.
 func (b *Backend) RunQuery(q *engine.Query, timeout float64) engine.ExecResult {
-	start, v0 := time.Now(), b.inner.Clock().Now()
-	res := b.inner.RunQuery(q, timeout)
+	start, v0 := time.Now(), b.Clock().Now()
+	res := b.Backend.RunQuery(q, timeout)
 	b.observe(runQuery, start, v0, !res.Complete)
 	return res
 }
 
 // Explain forwards and counts the EXPLAIN surface.
 func (b *Backend) Explain(q *engine.Query) []engine.JoinCost {
-	start, v0 := time.Now(), b.inner.Clock().Now()
-	out := b.inner.Explain(q)
+	start, v0 := time.Now(), b.Clock().Now()
+	out := b.Backend.Explain(q)
 	b.observe(explain, start, v0, false)
 	return out
-}
-
-// Uninstrumented pass-throughs (pure measurements and index bookkeeping).
-
-// DropTransientIndexes forwards to the inner backend.
-func (b *Backend) DropTransientIndexes() { b.inner.DropTransientIndexes() }
-
-// CreatePermanentIndex forwards to the inner backend.
-func (b *Backend) CreatePermanentIndex(def engine.IndexDef) { b.inner.CreatePermanentIndex(def) }
-
-// DropIndex forwards to the inner backend.
-func (b *Backend) DropIndex(def engine.IndexDef) { b.inner.DropIndex(def) }
-
-// HasIndex forwards to the inner backend.
-func (b *Backend) HasIndex(def engine.IndexDef) bool { return b.inner.HasIndex(def) }
-
-// Indexes forwards to the inner backend.
-func (b *Backend) Indexes() []engine.IndexDef { return b.inner.Indexes() }
-
-// IndexCreationSeconds forwards to the inner backend.
-func (b *Backend) IndexCreationSeconds(def engine.IndexDef) float64 {
-	return b.inner.IndexCreationSeconds(def)
-}
-
-// QuerySeconds forwards to the inner backend.
-func (b *Backend) QuerySeconds(q *engine.Query) float64 { return b.inner.QuerySeconds(q) }
-
-// WorkloadSeconds forwards to the inner backend.
-func (b *Backend) WorkloadSeconds(qs []*engine.Query) float64 { return b.inner.WorkloadSeconds(qs) }
-
-// PlanCost forwards to the inner backend.
-func (b *Backend) PlanCost(q *engine.Query) float64 { return b.inner.PlanCost(q) }
-
-// PlanCacheStats forwards to the inner backend.
-func (b *Backend) PlanCacheStats() engine.PlanCacheStats { return b.inner.PlanCacheStats() }
-
-// SetPlanCache forwards to the inner backend.
-func (b *Backend) SetPlanCache(on bool) { b.inner.SetPlanCache(on) }
-
-// PlanCacheEnabled forwards to the inner backend.
-func (b *Backend) PlanCacheEnabled() bool { return b.inner.PlanCacheEnabled() }
-
-// Executions reports the inner backend's completed-execution count (0 when it
-// does not count them).
-func (b *Backend) Executions() int {
-	if ec, ok := b.inner.(interface{ Executions() int }); ok {
-		return ec.Executions()
-	}
-	return 0
 }

@@ -5,10 +5,18 @@ import (
 	"math"
 	"testing"
 
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/faults"
 	"lambdatune/internal/obs"
 )
+
+// completedRuns counts the queries b ran to completion: run_query calls
+// minus run_query errors, which are the interrupted ones.
+func completedRuns(b *instrumented.Backend) int {
+	st := b.Registry().Snapshot()
+	return int(st["backend_run_query_calls_total"] - st["backend_run_query_errors_total"])
+}
 
 // abortThenRun finds a fault seed whose injector, at query-abort rate 0.5,
 // aborts q's first execution under cfg and lets the retry through: the
@@ -29,7 +37,8 @@ func abortThenRun(t *testing.T, cfg *engine.Config, q *engine.Query) *faults.Inj
 }
 
 func TestEvaluateAbortWastesFractionAndRetries(t *testing.T) {
-	db, w := setup(t)
+	sim, w := setup(t)
+	db := instrumented.Wrap(sim)
 	cfg := &engine.Config{ID: "abort", Params: map[string]string{}}
 	q := w.Queries[0]
 	e := New(db)
@@ -51,7 +60,7 @@ func TestEvaluateAbortWastesFractionAndRetries(t *testing.T) {
 	if want := frac * full; math.Abs(db.Clock().Now()-want) > 1e-9 {
 		t.Fatalf("clock %v, want %v wasted (frac %v of %v)", db.Clock().Now(), want, frac, full)
 	}
-	if db.Executions() != 0 {
+	if completedRuns(db) != 0 {
 		t.Fatal("an aborted query reached the backend")
 	}
 	e.Span.End(db.Clock().Now())

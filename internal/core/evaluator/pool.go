@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"lambdatune/internal/backend"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/obs"
 )
@@ -65,10 +64,9 @@ type Task struct {
 
 // Run evaluates one round's tasks and returns the round's elapsed virtual
 // time. On one worker the tasks run in order on the primary, whose clock
-// advances as they run. On more, the elapsed time is the max over workers:
-// Run advances the primary clock by it and folds the snapshots' operation
-// counters back into the primary. A task whose Apply fails has its meta
-// marked incomplete, and the worker moves on.
+// advances as they run. On more, the elapsed time is the max over workers,
+// and Run advances the primary clock by it. A task whose Apply fails has its
+// meta marked incomplete, and the worker moves on.
 //
 // Cancelling ctx stops every worker before its next query execution and
 // before its next task; Run still keeps the partial progress (metas stay
@@ -86,12 +84,10 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 	primary := p.ev.DB
 	workers := min(p.workers, len(tasks))
 
-	snaps := make([]backend.Backend, workers)
 	elapsed := make([]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		snap := primary.Snapshot()
-		snaps[w] = snap
 		// The worker's evaluator copies the primary's settings; its
 		// per-pass state (candidate span, free indexes) starts empty.
 		ev := *p.ev
@@ -111,9 +107,6 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) (float64, error) {
 		if e > roundElapsed {
 			roundElapsed = e
 		}
-	}
-	for _, snap := range snaps {
-		primary.AbsorbSnapshot(snap)
 	}
 	primary.Clock().Advance(roundElapsed)
 	return roundElapsed, ctx.Err()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lambdatune/internal/backend"
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/engine"
 )
 
@@ -93,12 +94,33 @@ func TestPoolClockMergeIsMaxOverWorkers(t *testing.T) {
 	}
 }
 
-// TestPoolAbsorbsCounters: executions on worker snapshots fold back into the
-// primary's counters.
-func TestPoolAbsorbsCounters(t *testing.T) {
-	_, _, db := runPool(t, 4)
-	if db.Executions() == 0 {
-		t.Fatal("worker executions were not absorbed into the primary")
+// TestPoolReplicaRunsCountOnce: replicas feed an instrumented primary's
+// registry, so a round reads the same run_query calls and errors on one
+// worker as on four — each query execution counted once, wherever it ran.
+func TestPoolReplicaRunsCountOnce(t *testing.T) {
+	counts := func(workers int) (calls, errs float64) {
+		sim, w := setup(t)
+		db := instrumented.Wrap(sim)
+		// Half the default workload time interrupts some candidates, so the
+		// round has errors to count as well.
+		timeout := sim.WorkloadSeconds(w.Queries) / 2
+		var tasks []Task
+		for _, c := range poolConfigs(6) {
+			tasks = append(tasks, Task{Config: c, Queries: w.Queries, Timeout: timeout, Meta: NewConfigMeta()})
+		}
+		if _, err := NewPool(New(db), workers).Run(context.Background(), tasks); err != nil {
+			t.Fatal(err)
+		}
+		st := db.Registry().Snapshot()
+		return st["backend_run_query_calls_total"], st["backend_run_query_errors_total"]
+	}
+	calls1, errs1 := counts(1)
+	calls4, errs4 := counts(4)
+	if calls1 == 0 || errs1 == 0 {
+		t.Fatalf("one worker: %v calls, %v errors; want both above 0", calls1, errs1)
+	}
+	if calls4 != calls1 || errs4 != errs1 {
+		t.Fatalf("four workers: %v calls, %v errors; one worker: %v, %v", calls4, errs4, calls1, errs1)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/core/evaluator"
 	"lambdatune/internal/engine"
 )
@@ -38,7 +39,8 @@ func TestCheckpointAfterRounds(t *testing.T) {
 // second run finishes without re-executing the queries the first one
 // completed.
 func TestResumeSkipsCompletedWork(t *testing.T) {
-	db, qs := setup(t)
+	sim, qs := setup(t)
+	db := instrumented.Wrap(sim)
 	g, b := good(), bad()
 
 	// First run: far too few rounds to complete any configuration.
@@ -53,7 +55,7 @@ func TestResumeSkipsCompletedWork(t *testing.T) {
 		t.Fatalf("checkpoint = %+v", st)
 	}
 	doneBefore := len(st.Metas["good"].Completed) + len(st.Metas["bad"].Completed)
-	execBefore := db.Executions()
+	execBefore := completedRuns(db)
 
 	// Second run resumes on the same database with re-parsed candidates
 	// (fresh pointers, same IDs — matching is by ID).
@@ -68,7 +70,7 @@ func TestResumeSkipsCompletedWork(t *testing.T) {
 	if s2.Metas[g2] != st.Metas["good"] {
 		t.Fatal("resumed run did not adopt checkpointed bookkeeping")
 	}
-	if doneBefore > 0 && db.Executions() == execBefore {
+	if doneBefore > 0 && completedRuns(db) == execBefore {
 		t.Fatal("resumed run executed nothing, yet queries were still open")
 	}
 }

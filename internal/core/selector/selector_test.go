@@ -6,10 +6,18 @@ import (
 	"testing"
 
 	"lambdatune/internal/backend"
+	"lambdatune/internal/backend/instrumented"
 	"lambdatune/internal/core/evaluator"
 	"lambdatune/internal/engine"
 	"lambdatune/internal/workload"
 )
+
+// completedRuns counts the queries b ran to completion: run_query calls
+// minus run_query errors, which are the interrupted ones.
+func completedRuns(b *instrumented.Backend) int {
+	st := b.Registry().Snapshot()
+	return int(st["backend_run_query_calls_total"] - st["backend_run_query_errors_total"])
+}
 
 func setup(t *testing.T) (*backend.Sim, []*engine.Query) {
 	t.Helper()
@@ -94,11 +102,12 @@ func TestSelectBoundedTuningTime(t *testing.T) {
 func TestSelectAvoidsRedundantWork(t *testing.T) {
 	// Completed queries must not re-run across rounds: the total number of
 	// completed executions is bounded by k·|W|.
-	db, qs := setup(t)
+	sim, qs := setup(t)
+	db := instrumented.Wrap(sim)
 	s := New(evaluator.New(db), qs, DefaultOptions())
 	candidates := []*engine.Config{good(), bad(), cfg("mid", map[string]string{"work_mem": "256MB"})}
 	sel1(s, candidates)
-	if got, limit := db.Executions(), len(candidates)*len(qs); got > limit {
+	if got, limit := completedRuns(db), len(candidates)*len(qs); got > limit {
 		t.Errorf("%d completed executions exceed k·|W| = %d", got, limit)
 	}
 }

@@ -24,14 +24,9 @@ type DB struct {
 	// permanent marks indexes that survive DropTransientIndexes (the
 	// "initial indexes" of scenario 1).
 	permanent map[string]bool
-	// executed counts completed query executions (for test introspection).
-	executed int
 	// execHook, when set, observes every query execution; snapshots inherit
 	// it (see SetExecHook).
 	execHook ExecHook
-	// baseExecuted is executed at Snapshot time (zero on primary instances);
-	// AbsorbSnapshot folds the executions above it back into the parent.
-	baseExecuted int
 	// plans memoizes plans per (effects, index signature, query) and is
 	// shared with every snapshot of this DB (see plancache.go); plansOff
 	// bypasses it. groupKeys/groupSigs hold the lazily maintained sorted
@@ -80,9 +75,6 @@ func (db *DB) Hardware() Hardware { return db.hw }
 // Clock returns the virtual clock.
 func (db *DB) Clock() *Clock { return &db.clock }
 
-// Executions returns the number of completed query executions.
-func (db *DB) Executions() int { return db.executed }
-
 // Settings returns a copy of the live parameter assignment.
 func (db *DB) Settings() Settings { return db.settings.Clone() }
 
@@ -101,7 +93,7 @@ func (db *DB) SetSettings(s Settings) {
 // installSettings takes ownership of a complete, validated assignment (every
 // parameter present, values in domain) and re-derives the planner effects.
 // Fast path for callers that already hold such a map — ResolveSettings
-// returns one, so ApplyConfigParams skips the second defaults build that
+// returns one, so ApplyConfig skips the second defaults build that
 // SetSettings would do.
 func (db *DB) installSettings(full Settings) {
 	db.settings = full
@@ -116,10 +108,10 @@ func (db *DB) installSettings(full Settings) {
 // ResetSettings restores flavor defaults.
 func (db *DB) ResetSettings() { db.SetSettings(nil) }
 
-// ApplyConfigParams resolves and installs the parameter part of a
-// configuration (indexes are handled separately so callers can create them
-// lazily, per paper §5.1).
-func (db *DB) ApplyConfigParams(c *Config) error {
+// ApplyConfig resolves and installs the parameter part of a configuration
+// (indexes are handled separately so callers can create them lazily, per
+// paper §5.1).
+func (db *DB) ApplyConfig(c *Config) error {
 	s, err := c.ResolveSettings(db.flavor)
 	if err != nil {
 		return err
@@ -297,16 +289,20 @@ func (db *DB) Explain(q *Query) []JoinCost {
 // treated as immutable.
 func (db *DB) Plan(q *Query) *Plan { return db.cachedPlan(q) }
 
+// PlanCost returns the optimizer's total cost estimate for the query under
+// the current configuration.
+func (db *DB) PlanCost(q *Query) float64 { return db.cachedPlan(q).EstCost() }
+
 // QuerySeconds returns the simulated runtime of the query under the current
 // configuration without executing it or advancing the clock.
 func (db *DB) QuerySeconds(q *Query) float64 {
 	return db.cachedPlan(q).TrueSeconds()
 }
 
-// Execute runs the query with a timeout (in simulated seconds; pass
+// RunQuery runs the query with a timeout (in simulated seconds; pass
 // math.Inf(1) for none). The clock advances by the time consumed — the full
 // runtime on completion, or the timeout on interruption.
-func (db *DB) Execute(q *Query, timeout float64) ExecResult {
+func (db *DB) RunQuery(q *Query, timeout float64) ExecResult {
 	secs := db.QuerySeconds(q)
 	capped := secs
 	if timeout >= 0 && secs > timeout && !math.IsInf(timeout, 1) {
@@ -320,7 +316,6 @@ func (db *DB) Execute(q *Query, timeout float64) ExecResult {
 		return ExecResult{Seconds: capped, Complete: false}
 	}
 	db.clock.Advance(secs)
-	db.executed++
 	return ExecResult{Seconds: secs, Complete: true}
 }
 

@@ -235,7 +235,7 @@ func TestExecuteAdvancesClock(t *testing.T) {
 	db := testDB(t)
 	q := MustPrepareQuery("q", joinQuery)
 	before := db.Clock().Now()
-	res := db.Execute(q, math.Inf(1))
+	res := db.RunQuery(q, math.Inf(1))
 	if !res.Complete {
 		t.Fatal("not complete without timeout")
 	}
@@ -248,7 +248,7 @@ func TestExecuteTimeout(t *testing.T) {
 	db := testDB(t)
 	q := MustPrepareQuery("q", joinQuery)
 	full := db.QuerySeconds(q)
-	res := db.Execute(q, full/2)
+	res := db.RunQuery(q, full/2)
 	if res.Complete {
 		t.Fatal("should have timed out")
 	}

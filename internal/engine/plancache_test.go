@@ -67,7 +67,7 @@ func TestPlanCacheConfigReapplication(t *testing.T) {
 	q := MustPrepareQuery("q", joinQuery)
 	cfg := &Config{ID: "c", Params: map[string]string{"work_mem": "512MB", "shared_buffers": "2GB"}}
 	apply := func(t *testing.T, db *DB) {
-		if err := db.ApplyConfigParams(cfg); err != nil {
+		if err := db.ApplyConfig(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestPlanStoreSharedBySnapshots(t *testing.T) {
 	runCacheSteps(t, b, q2, []cacheStep{{name: "sibling's plan", wantHit: true}})
 	runCacheSteps(t, db, q2, []cacheStep{{name: "snapshot's plan on the parent", wantHit: true}})
 
-	if err := b.ApplyConfigParams(&Config{ID: "c", Params: map[string]string{"work_mem": "1GB"}}); err != nil {
+	if err := b.ApplyConfig(&Config{ID: "c", Params: map[string]string{"work_mem": "1GB"}}); err != nil {
 		t.Fatal(err)
 	}
 	b.CreateIndex(NewIndexDef("fact", "f_d1"))

@@ -216,7 +216,7 @@ func TestConcurrentShapeBuild(t *testing.T) {
 		{map[string]string{"work_mem": "16MB", "enable_hashjoin": "off"}, engine.NewIndexDef("movie_info", "info")},
 	}
 	configure := func(db *engine.DB, pair int) {
-		if err := db.ApplyConfigParams(&engine.Config{ID: "pair", Params: pairs[pair].params}); err != nil {
+		if err := db.ApplyConfig(&engine.Config{ID: "pair", Params: pairs[pair].params}); err != nil {
 			t.Fatal(err)
 		}
 		if db.CreateIndex(pairs[pair].index) <= 0 {

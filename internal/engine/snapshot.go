@@ -11,11 +11,11 @@ type ExecHook func(q *Query, seconds float64)
 func (db *DB) SetExecHook(h ExecHook) { db.execHook = h }
 
 // Snapshot returns an independent clone of the instance for parallel
-// candidate evaluation: the parameter assignment, the index set, and the
-// operation counters are copied, while the catalog (immutable statistics) and
-// hardware description are shared. The clone gets its own virtual clock
-// starting at the parent's current time, so per-candidate runtimes measured
-// on a snapshot are exactly what the primary would have measured.
+// candidate evaluation: the parameter assignment and the index set are
+// copied, while the catalog (immutable statistics) and hardware description
+// are shared. The clone gets its own virtual clock starting at the parent's
+// current time, so per-candidate runtimes measured on a snapshot are exactly
+// what the primary would have measured.
 //
 // The exec hook is inherited and must therefore be concurrency-safe.
 //
@@ -38,8 +38,6 @@ func (db *DB) Snapshot() *DB {
 		keyEff:        db.keyEff,
 		indexes:       make(map[string]IndexDef, len(db.indexes)),
 		permanent:     make(map[string]bool, len(db.permanent)),
-		executed:      db.executed,
-		baseExecuted:  db.executed,
 		execHook:      db.execHook,
 		plans:         db.plans,
 		plansOff:      db.plansOff,
@@ -52,16 +50,4 @@ func (db *DB) Snapshot() *DB {
 		clone.permanent[k] = true
 	}
 	return clone
-}
-
-// AbsorbSnapshot folds the executions a snapshot counted since Snapshot back
-// into the parent, so Executions covers work done on replicas. The clock is
-// deliberately not merged: the parallel evaluator's round rule — elapsed
-// time is the max over workers, modeling N parallel DBMS replicas — governs
-// time, and the pool advances the parent clock itself (see evaluator.Pool).
-func (db *DB) AbsorbSnapshot(s *DB) {
-	if s == nil {
-		return
-	}
-	db.executed += s.executed - s.baseExecuted
 }

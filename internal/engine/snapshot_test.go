@@ -26,7 +26,7 @@ func TestSnapshotIndependentClock(t *testing.T) {
 	if got := s.Clock().Now(); got != 100 {
 		t.Fatalf("snapshot clock starts at %v, want parent time 100", got)
 	}
-	s.Execute(qs[0], 1e9)
+	s.RunQuery(qs[0], 1e9)
 	if db.Clock().Now() != 100 {
 		t.Fatalf("snapshot execution advanced the parent clock to %v", db.Clock().Now())
 	}
@@ -38,7 +38,7 @@ func TestSnapshotIndependentClock(t *testing.T) {
 func TestSnapshotSettingsIsolated(t *testing.T) {
 	db, _ := snapDB(t)
 	s := db.Snapshot()
-	if err := s.ApplyConfigParams(&Config{ID: "c", Params: map[string]string{"work_mem": "256MB"}}); err != nil {
+	if err := s.ApplyConfig(&Config{ID: "c", Params: map[string]string{"work_mem": "256MB"}}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Settings()["work_mem"] == s.Settings()["work_mem"] {
@@ -68,7 +68,7 @@ func TestSnapshotIndexesIsolated(t *testing.T) {
 
 func TestSnapshotInheritsLiveConfiguration(t *testing.T) {
 	db, _ := snapDB(t)
-	if err := db.ApplyConfigParams(&Config{ID: "c", Params: map[string]string{"work_mem": "512MB"}}); err != nil {
+	if err := db.ApplyConfig(&Config{ID: "c", Params: map[string]string{"work_mem": "512MB"}}); err != nil {
 		t.Fatal(err)
 	}
 	ix := IndexDef{Table: "dim1", Columns: "d1_id"}
@@ -79,23 +79,5 @@ func TestSnapshotInheritsLiveConfiguration(t *testing.T) {
 	}
 	if !s.HasIndex(ix) {
 		t.Fatal("snapshot did not inherit live indexes")
-	}
-}
-
-func TestAbsorbSnapshotFoldsCounterDeltas(t *testing.T) {
-	db, qs := snapDB(t)
-	db.Execute(qs[0], 1e9) // pre-snapshot work stays counted once
-	s := db.Snapshot()
-	s.Execute(qs[1], 1e9)
-	s.Execute(qs[2], 1e9)
-	before := db.Executions()
-	clockBefore := db.Clock().Now()
-	db.AbsorbSnapshot(s)
-	if got := db.Executions() - before; got != 2 {
-		t.Fatalf("absorbed %d executions, want 2 (delta above the snapshot base)", got)
-	}
-	// Clock is merged by the pool's max rule, never by AbsorbSnapshot.
-	if db.Clock().Now() != clockBefore {
-		t.Fatalf("AbsorbSnapshot advanced the clock from %v to %v", clockBefore, db.Clock().Now())
 	}
 }
