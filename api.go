@@ -463,7 +463,8 @@ func (d *Database) Tune(w *Workload, client Client, opts Options) (*Result, erro
 // returning an error satisfying errors.Is(err, ctx.Err()).
 //
 // Errors: invalid opts return ErrInvalidOptions, a nil or empty workload
-// ErrEmptyWorkload, a workload whose default runtime is not finite
+// ErrEmptyWorkload, a query naming a table or column the database lacks
+// ErrUnknownRelation, a workload whose default runtime is not finite
 // ErrNonFiniteCost, and a run whose every LLM sample failed
 // ErrNoUsableSample (all matchable with errors.Is).
 //

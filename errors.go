@@ -53,6 +53,11 @@ var (
 	// Close. In-flight jobs at Close time still finish normally.
 	ErrRuntimeClosed = errors.New("lambdatune: runtime closed")
 
+	// ErrUnknownRelation reports a workload query that names a table the
+	// database's catalog lacks, or a join or filter column that its table
+	// lacks. The message names the query, the table and the column.
+	ErrUnknownRelation = errors.New("lambdatune: unknown relation")
+
 	// ErrNonFiniteCost reports a workload whose simulated runtime under the
 	// default configuration is infinite or NaN — its cost estimates
 	// overflow — so no configuration can be measured against it. Tuning

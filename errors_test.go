@@ -102,6 +102,56 @@ func TestTuneContextNonFiniteCost(t *testing.T) {
 	}
 }
 
+// TestTuneContextUnknownRelation: a query naming a table the catalog lacks,
+// or a filter column that its table lacks, fails with ErrUnknownRelation
+// naming it, from Tune and TuneContext alike; known names pass in any case.
+func TestTuneContextUnknownRelation(t *testing.T) {
+	db, _, err := Benchmark("tpch-1", Postgres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Samples = 1
+	for _, tc := range []struct{ sql, name string }{
+		{"SELECT x FROM u WHERE x = 1", `"u"`},
+		{"SELECT * FROM lineitem WHERE l_bogus = 1", `"l_bogus"`},
+	} {
+		w, err := ParseWorkload("probe", map[string]string{"q": tc.sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Tune(w, NewSimulatedLLM(1), opts); !errors.Is(err, ErrUnknownRelation) || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("Tune(%s): err = %v, want ErrUnknownRelation naming %s", tc.sql, err, tc.name)
+		}
+		if _, err := db.TuneContext(context.Background(), w, NewSimulatedLLM(1), opts); !errors.Is(err, ErrUnknownRelation) {
+			t.Errorf("TuneContext(%s): err = %v, want ErrUnknownRelation", tc.sql, err)
+		}
+	}
+	w, err := ParseWorkload("upper", map[string]string{
+		"q": "SELECT L_ORDERKEY FROM LINEITEM, Orders WHERE L_ORDERKEY = o_OrderKey AND O_ORDERDATE < '1995-01-01'",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Tune(w, NewSimulatedLLM(1), opts); err != nil {
+		t.Fatalf("upper-case known names: %v", err)
+	}
+}
+
+// TestBuiltinWorkloadsNameKnownRelations: no built-in benchmark query trips
+// the relation check, so every built-in benchmark tunes as before it.
+func TestBuiltinWorkloadsNameKnownRelations(t *testing.T) {
+	for _, name := range BenchmarkNames() {
+		db, w, err := Benchmark(name, Postgres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRelations(db.db.Catalog(), w.queries); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // garbageClient returns prose; every sample is unparseable.
 type garbageClient struct{}
 

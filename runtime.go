@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -427,7 +428,9 @@ func (rt *Runtime) TuneContext(ctx context.Context, d *Database, w *Workload, cl
 // the workload digest. For databases born from a runtime template with the
 // canonical workload — the entire daemon hot path — both digests come from
 // the template's cached copies; computing two SHA-256s over the full catalog
-// and workload per admission dominated per-job constant cost before.
+// and workload per admission dominated per-job constant cost before. Any
+// other workload is checked against the catalog first (checkRelations); a
+// template's canonical workload is built-in and needs no check.
 func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evaluator.Memo, error) {
 	var nsKey namespaceKey
 	cached := false
@@ -440,6 +443,9 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 		rt.mu.Unlock()
 	}
 	if !cached {
+		if err := checkRelations(d.db.Catalog(), w.queries); err != nil {
+			return "", nil, err
+		}
 		nsKey = namespaceKey{
 			flavor:   d.db.Flavor(),
 			catalog:  d.db.Catalog().Fingerprint(),
@@ -471,6 +477,46 @@ func (rt *Runtime) admit(d *Database, w *Workload, opts Options) (string, *evalu
 		rt.reg.Counter("runtime_jobs_total").Inc()
 	}
 	return jobID, memo, nil
+}
+
+// checkRelations returns ErrUnknownRelation for the first query in qs whose
+// analysis names a table cat lacks, or a join or filter column that its
+// table lacks. Names compare case-insensitively: the analysis holds them
+// lower-cased, as the catalog does.
+func checkRelations(cat *engine.Catalog, qs []*engine.Query) error {
+	var tables []*engine.Table // the query's, in Analysis.Tables order
+	for _, q := range qs {
+		a := &q.Analysis
+		tables = tables[:0]
+		for _, name := range a.Tables {
+			t := cat.Table(name)
+			if t == nil {
+				return fmt.Errorf("%w: query %s: no table %q", ErrUnknownRelation, q.Name, name)
+			}
+			tables = append(tables, t)
+		}
+		// Every column the analysis attributes is on one of its tables.
+		check := func(table, column string) error {
+			if i := slices.Index(a.Tables, table); i < 0 || tables[i].Column(column) == nil {
+				return fmt.Errorf("%w: query %s: table %q has no column %q", ErrUnknownRelation, q.Name, table, column)
+			}
+			return nil
+		}
+		for _, f := range a.Filters {
+			if err := check(f.Table, f.Column); err != nil {
+				return err
+			}
+		}
+		for _, j := range a.Joins {
+			if err := check(j.LeftTable, j.LeftColumn); err != nil {
+				return err
+			}
+			if err := check(j.RightTable, j.RightColumn); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // wireFaults installs the chaos kill points for one run and, when a fault
