@@ -486,15 +486,7 @@ func (d *Database) Apply(r *Result) error {
 	if r == nil || r.best == nil {
 		return fmt.Errorf("lambdatune: no configuration to apply")
 	}
-	d.pristine = false
-	d.db.DropTransientIndexes()
-	if err := d.db.ApplyConfig(r.best); err != nil {
-		return err
-	}
-	for _, ix := range r.best.Indexes {
-		d.db.CreateIndex(ix)
-	}
-	return nil
+	return d.install(r.best)
 }
 
 // ApplyScript parses and installs a configuration script directly.
@@ -503,6 +495,12 @@ func (d *Database) ApplyScript(script string) error {
 	if err != nil {
 		return err
 	}
+	return d.install(cfg)
+}
+
+// install replaces the live configuration with cfg: tuning-created indexes
+// dropped, parameters set, cfg's indexes created.
+func (d *Database) install(cfg *engine.Config) error {
 	d.pristine = false
 	d.db.DropTransientIndexes()
 	if err := d.db.ApplyConfig(cfg); err != nil {

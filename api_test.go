@@ -52,6 +52,9 @@ func TestApplyMatchesMeasurement(t *testing.T) {
 	if err := db.Apply(res); err != nil {
 		t.Fatal(err)
 	}
+	if n, want := len(db.db.Indexes()), len(res.best.Indexes); n != want {
+		t.Errorf("indexes installed: %d of %d", n, want)
+	}
 	got := db.WorkloadSeconds(w)
 	if diff := got - res.BestSeconds; diff > res.BestSeconds*0.01 || diff < -res.BestSeconds*0.01 {
 		t.Errorf("applied config runs in %v, tuner measured %v", got, res.BestSeconds)

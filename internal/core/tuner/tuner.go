@@ -621,19 +621,3 @@ func (t *Tuner) sample(ctx context.Context, prompt string, idx int) (*engine.Con
 	}
 	return nil, nil, lastErr
 }
-
-// ApplyBest installs the winning configuration on the database: parameters
-// set and all recommended indexes created (clock advances by creation time).
-func (t *Tuner) ApplyBest(res *Result) error {
-	if res.Best == nil {
-		return fmt.Errorf("tuner: no best configuration to apply")
-	}
-	t.DB.DropTransientIndexes()
-	if err := t.DB.ApplyConfig(res.Best); err != nil {
-		return err
-	}
-	for _, ix := range res.Best.Indexes {
-		t.DB.CreateIndex(ix)
-	}
-	return nil
-}

@@ -2,23 +2,15 @@ package faults
 
 import "errors"
 
-// ErrKilled reports a simulated crash at a chaos kill point. In-process
-// chaos tests match it with errors.Is; process-level chaos installs an Exit
-// function instead and never sees it.
+// ErrKilled reports a simulated crash at a chaos kill point. Chaos tests
+// match it with errors.Is; the lambdatune CLI exits with its own code on it.
 var ErrKilled = errors.New("faults: killed at kill point")
-
-// KillExitCode is the exit code process-level kills die with (the
-// conventional SIGKILL code).
-const KillExitCode = 137
 
 // Killer simulates process death at checkpoint boundaries — the chaos
 // harness's crash injector. It hooks into the checkpoint store's after-save
 // callback, so a kill always lands after the checkpoint bytes are durable:
 // exactly the state a real crash leaves behind. The zero value never kills.
 type Killer struct {
-	// AfterSampling kills at the post-sampling checkpoint, before the first
-	// evaluation round.
-	AfterSampling bool
 	// AfterRound kills at the checkpoint that closes selector round N
 	// (> 0 enables).
 	AfterRound int
@@ -26,32 +18,21 @@ type Killer struct {
 	// (> 0 enables) — this is how the chaos harness sweeps every boundary
 	// without knowing the round structure in advance.
 	AfterSaves int
-	// Exit, when set, replaces the ErrKilled return — point it at os.Exit
-	// for process-level chaos. It must not return.
-	Exit func(code int)
 
 	saves int
 }
 
-// AfterCheckpoint observes one durable checkpoint and fires when it is a
-// configured kill point. round is the selector round the checkpoint closed
-// (0 = the post-sampling checkpoint). A fired in-process kill returns
-// ErrKilled; a process-level kill calls Exit and does not return.
+// AfterCheckpoint observes one durable checkpoint and returns ErrKilled when
+// it is a configured kill point. round is the selector round the checkpoint
+// closed (0 = the post-sampling checkpoint).
 func (k *Killer) AfterCheckpoint(round int) error {
 	k.saves++
-	hit := (k.AfterSampling && round == 0) ||
-		(k.AfterRound > 0 && round == k.AfterRound) ||
-		(k.AfterSaves > 0 && k.saves == k.AfterSaves)
-	if !hit {
-		return nil
+	if (k.AfterRound > 0 && round == k.AfterRound) ||
+		(k.AfterSaves > 0 && k.saves == k.AfterSaves) {
+		return ErrKilled
 	}
-	if k.Exit != nil {
-		k.Exit(KillExitCode)
-	}
-	return ErrKilled
+	return nil
 }
 
 // Armed reports whether any kill point is configured.
-func (k *Killer) Armed() bool {
-	return k.AfterSampling || k.AfterRound > 0 || k.AfterSaves > 0
-}
+func (k *Killer) Armed() bool { return k.AfterRound > 0 || k.AfterSaves > 0 }

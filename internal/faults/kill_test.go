@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-func TestKillerAfterSampling(t *testing.T) {
-	k := &Killer{AfterSampling: true}
-	if err := k.AfterCheckpoint(0); !errors.Is(err, ErrKilled) {
-		t.Errorf("post-sampling checkpoint: %v", err)
-	}
-	k = &Killer{AfterSampling: true}
-	if err := k.AfterCheckpoint(2); err != nil {
-		t.Errorf("round checkpoint must not fire AfterSampling: %v", err)
-	}
-}
-
 func TestKillerAfterRound(t *testing.T) {
 	k := &Killer{AfterRound: 2}
 	for _, round := range []int{0, 1} {
@@ -37,18 +26,6 @@ func TestKillerAfterSaves(t *testing.T) {
 	}
 	if err := k.AfterCheckpoint(7); !errors.Is(err, ErrKilled) {
 		t.Errorf("third save: %v", err)
-	}
-}
-
-func TestKillerExit(t *testing.T) {
-	exited := -1
-	k := &Killer{AfterSaves: 1, Exit: func(code int) { exited = code; panic("exit") }}
-	func() {
-		defer func() { recover() }()
-		_ = k.AfterCheckpoint(0)
-	}()
-	if exited != KillExitCode {
-		t.Errorf("exit code: %d", exited)
 	}
 }
 

@@ -45,15 +45,6 @@ func CountTokens(text string) int {
 	return tokens
 }
 
-// CountTokensLines sums CountTokens over lines plus one token per newline.
-func CountTokensLines(lines []string) int {
-	total := 0
-	for _, l := range lines {
-		total += CountTokens(l) + 1
-	}
-	return total
-}
-
 // Client is the language-model interface λ-Tune invokes. Complete returns
 // one full configuration script for the given prompt. The context carries
 // cancellation and per-call deadlines down to the model transport.

@@ -113,15 +113,6 @@ type Analysis struct {
 	Filters []Filter
 }
 
-// FilterColumns returns the distinct filtered columns (kind dropped).
-func (a Analysis) FilterColumns() []ColumnUse {
-	out := make([]ColumnUse, len(a.Filters))
-	for i, f := range a.Filters {
-		out[i] = f.ColumnUse
-	}
-	return out
-}
-
 // Analyze resolves aliases and extracts tables, join conditions, and filter
 // columns from the statement and all of its subqueries (including derived
 // tables in FROM, whose projected columns are resolved back to base tables).
