@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling chaos fuzz lambdabench lambdabench-compare
+.PHONY: build vet test race verify fmt-check lambdabench-check ci bench scaling chaos fuzz lambdabench lambdabench-compare loc
 
 build:
 	$(GO) build ./...
@@ -75,3 +75,10 @@ chaos:
 	$(GO) test -race -run 'Chaos|KillResume|Checkpoint|Resume|Kill|Torn|Drain|Readopt|Daemon|Panic|Journal' \
 		./internal/runstate/ ./internal/faults/ ./internal/core/tuner/ \
 		./internal/bench/ ./internal/service/ ./cmd/lambdatune/ ./cmd/lambdatuned/ .
+
+## loc: the non-test and test Go line counts of tracked files outside
+## lambdabench/ (git ls-files, so build output such as .bench_build/ never
+## counts).
+loc:
+	@printf 'non-test Go lines: %s\n' "$$(git ls-files -z -- '*.go' ':!:lambdabench/' | grep -zv '_test\.go$$' | xargs -0 cat | wc -l)"
+	@printf 'test Go lines: %s\n' "$$(git ls-files -z -- '*_test.go' ':!:lambdabench/' | xargs -0 cat | wc -l)"

@@ -381,8 +381,8 @@ func (t *Tracer) snapshot() ([][]Span, map[*Span]spanExtra) {
 }
 
 // Root returns the first root span (the "run" span in a tuning run), or nil.
-// Detached event sources — the fault injector observes the engine from below
-// the tracing call sites — attach their events here.
+// The fault injector attaches its LLM fault events here; engine fault events
+// go on the candidate span that met them.
 func (t *Tracer) Root() *Span {
 	if t == nil {
 		return nil
