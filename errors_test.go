@@ -104,7 +104,9 @@ func TestTuneContextNonFiniteCost(t *testing.T) {
 
 // TestTuneContextUnknownRelation: a query naming a table the catalog lacks,
 // or a filter column that its table lacks, fails with ErrUnknownRelation
-// naming it, from Tune and TuneContext alike; known names pass in any case.
+// naming it, from Tune and TuneContext alike; known names pass in any case,
+// and so do unqualified names that may be a derived table's column or a
+// select-list alias.
 func TestTuneContextUnknownRelation(t *testing.T) {
 	db, _, err := Benchmark("tpch-1", Postgres)
 	if err != nil {
@@ -127,14 +129,18 @@ func TestTuneContextUnknownRelation(t *testing.T) {
 			t.Errorf("TuneContext(%s): err = %v, want ErrUnknownRelation", tc.sql, err)
 		}
 	}
-	w, err := ParseWorkload("upper", map[string]string{
-		"q": "SELECT L_ORDERKEY FROM LINEITEM, Orders WHERE L_ORDERKEY = o_OrderKey AND O_ORDERDATE < '1995-01-01'",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Tune(w, NewSimulatedLLM(1), opts); err != nil {
-		t.Fatalf("upper-case known names: %v", err)
+	for _, sql := range []string{
+		"SELECT L_ORDERKEY FROM LINEITEM, Orders WHERE L_ORDERKEY = o_OrderKey AND O_ORDERDATE < '1995-01-01'",
+		"SELECT * FROM (SELECT * FROM orders) x, customer WHERE o_totalprice > 5",
+		"SELECT o_custkey, COUNT(*) AS cnt FROM orders GROUP BY o_custkey HAVING cnt > 10",
+	} {
+		w, err := ParseWorkload("known", map[string]string{"q": sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Tune(w, NewSimulatedLLM(1), opts); err != nil {
+			t.Errorf("Tune(%s): %v", sql, err)
+		}
 	}
 }
 

@@ -142,6 +142,12 @@ type scopeInfo struct {
 	// derived maps "alias.column" of a derived table's projection to the
 	// underlying base column, when the projection is a plain column.
 	derived map[string]ColumnUse
+	// hasDerived is set when a derived table is in scope: an unqualified
+	// name may then be one of its columns, which are not all known.
+	hasDerived bool
+	// selectList is set while GROUP BY, HAVING and ORDER BY are analyzed:
+	// they may name its aliases. clone drops it.
+	selectList []SelectItem
 }
 
 func emptyScope() *scopeInfo {
@@ -150,8 +156,9 @@ func emptyScope() *scopeInfo {
 
 func (s *scopeInfo) clone() *scopeInfo {
 	out := &scopeInfo{
-		tables:  make(map[string]string, len(s.tables)),
-		derived: make(map[string]ColumnUse, len(s.derived)),
+		tables:     make(map[string]string, len(s.tables)),
+		derived:    make(map[string]ColumnUse, len(s.derived)),
+		hasDerived: s.hasDerived,
 	}
 	for k, v := range s.tables {
 		out.tables[k] = v
@@ -182,6 +189,7 @@ func (a *analyzer) buildScope(stmt *SelectStmt, outer *scopeInfo) *scopeInfo {
 	for _, te := range stmt.From {
 		if te.Subquery != nil {
 			a.registerDerived(te, outer, scope)
+			scope.hasDerived = true
 		} else {
 			addBase(te.Alias, te.Table)
 		}
@@ -234,6 +242,7 @@ func (a *analyzer) buildScopeShallow(stmt *SelectStmt, outer *scopeInfo) *scopeI
 		scope.tables[strings.ToLower(table)] = strings.ToLower(table)
 	}
 	for _, te := range stmt.From {
+		scope.hasDerived = scope.hasDerived || te.Subquery != nil
 		add(te.Alias, te.Table)
 		for _, j := range te.Joins {
 			add(j.Alias, j.Table)
@@ -261,6 +270,7 @@ func (a *analyzer) selectStmt(stmt *SelectStmt, outer *scopeInfo) {
 	if stmt.Where != nil {
 		a.expr(stmt.Where, scope)
 	}
+	scope.selectList = stmt.Select
 	for _, g := range stmt.GroupBy {
 		a.expr(g, scope)
 	}
@@ -317,8 +327,13 @@ func (a *analyzer) resolveCol(c *ColumnRef, scope *scopeInfo) (table, column str
 		return t, col, ok
 	}
 	// Unqualified columns: attributable only when a single table is in
-	// scope, that is, when every entry names the same table. Benchmarks
-	// qualify all shared columns, so this is rare.
+	// scope, that is, when every entry names the same table, and when the
+	// name can be nothing else: no derived table is in scope and no
+	// select-list alias has that name. Benchmarks qualify all shared
+	// columns, so this is rare.
+	if scope.hasDerived || isAlias(scope.selectList, col) {
+		return "", "", false
+	}
 	only, found := "", false
 	for _, t := range scope.tables {
 		if found && t != only {
@@ -330,6 +345,16 @@ func (a *analyzer) resolveCol(c *ColumnRef, scope *scopeInfo) (table, column str
 		return "", "", false
 	}
 	return only, col, true
+}
+
+// isAlias reports whether an item of the select list is aliased as col.
+func isAlias(items []SelectItem, col string) bool {
+	for _, it := range items {
+		if strings.EqualFold(it.Alias, col) {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *analyzer) expr(e Expr, scope *scopeInfo) {

@@ -239,3 +239,30 @@ func TestAnalyzeDerivedJoinToDerived(t *testing.T) {
 		t.Errorf("derived-derived join: %v", a.Joins)
 	}
 }
+
+// TestAnalyzeUnqualifiedUncertain: an unqualified name stays unattributed
+// when a derived table is in scope, since it may be one of the derived
+// table's columns, and in GROUP BY, HAVING and ORDER BY when a select-list
+// alias has that name; WHERE still attributes it.
+func TestAnalyzeUnqualifiedUncertain(t *testing.T) {
+	for _, q := range []string{
+		"SELECT * FROM (SELECT * FROM orders) x, customer WHERE o_totalprice > 5",
+		"SELECT * FROM (SELECT o_totalprice FROM (SELECT * FROM orders) y, customer) x WHERE x.o_totalprice > 5",
+		"SELECT * FROM (SELECT * FROM orders) x WHERE x.o_orderkey IN (SELECT l_orderkey FROM lineitem WHERE l_bogus = 1)",
+		"SELECT o_custkey, COUNT(*) AS cnt FROM orders GROUP BY o_custkey HAVING cnt > 10",
+	} {
+		if a := analyze(t, q); len(a.Filters) != 0 || len(a.Joins) != 0 {
+			t.Errorf("%s: filters %v, joins %v, want none", q, a.Filters, a.Joins)
+		}
+	}
+	// The aliases are not visible in WHERE, nor in a subquery of HAVING.
+	for q, kind := range map[string]FilterKind{
+		"SELECT o_custkey AS cnt FROM orders WHERE cnt > 10":                                                                   FilterRange,
+		"SELECT o_custkey AS cnt FROM orders GROUP BY o_custkey HAVING COUNT(*) > (SELECT COUNT(*) FROM orders WHERE cnt = 1)": FilterEq,
+	} {
+		want := []Filter{{ColumnUse{"orders", "cnt"}, kind}}
+		if a := analyze(t, q); !reflect.DeepEqual(a.Filters, want) {
+			t.Errorf("%s: filters %v, want %v", q, a.Filters, want)
+		}
+	}
+}
