@@ -61,19 +61,24 @@ func newSink(reg *obs.Registry) *sink {
 	return s
 }
 
+// wrapped names the embedded inner backend through an unexported alias, so
+// its methods are promoted but the field stays private: no holder of a
+// *Backend can reach the inner surfaces past the counters.
+type wrapped = backend.Backend
+
 // Backend wraps an inner backend with observation telemetry. Construct with
 // Wrap; snapshots share the wrapped instance's sink, so replica work is
 // counted in the same registry.
 type Backend struct {
-	backend.Backend // the wrapped backend, whose other methods pass through
-	sink            *atomic.Pointer[sink]
+	wrapped // the inner backend, whose other methods pass through
+	sink    *atomic.Pointer[sink]
 }
 
 // Wrap decorates inner, feeding a fresh registry. Only the four paper
 // surfaces (ApplyConfig, CreateIndex, RunQuery, Explain) are instrumented;
 // every other method is inner's own.
 func Wrap(inner backend.Backend) *Backend {
-	b := &Backend{Backend: inner, sink: new(atomic.Pointer[sink])}
+	b := &Backend{wrapped: inner, sink: new(atomic.Pointer[sink])}
 	b.sink.Store(newSink(obs.NewRegistry()))
 	return b
 }
@@ -81,7 +86,7 @@ func Wrap(inner backend.Backend) *Backend {
 // Snapshot clones the inner backend and wraps the clone with this decorator's
 // sink, so work done on replicas aggregates with the parent's.
 func (b *Backend) Snapshot() backend.Backend {
-	return &Backend{Backend: b.Backend.Snapshot(), sink: b.sink}
+	return &Backend{wrapped: b.wrapped.Snapshot(), sink: b.sink}
 }
 
 // AttachMetrics re-points the decorator, and every snapshot sharing its
@@ -148,7 +153,7 @@ func (b *Backend) observe(i int, start time.Time, v0 float64, failed bool) {
 // ApplyConfig forwards and counts the configuration-acceptance surface.
 func (b *Backend) ApplyConfig(cfg *engine.Config) error {
 	start, v0 := time.Now(), b.Clock().Now()
-	err := b.Backend.ApplyConfig(cfg)
+	err := b.wrapped.ApplyConfig(cfg)
 	b.observe(applyConfig, start, v0, err != nil)
 	return err
 }
@@ -156,7 +161,7 @@ func (b *Backend) ApplyConfig(cfg *engine.Config) error {
 // CreateIndex forwards and counts the index-creation surface.
 func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
 	start, v0 := time.Now(), b.Clock().Now()
-	secs := b.Backend.CreateIndex(def)
+	secs := b.wrapped.CreateIndex(def)
 	b.observe(createIndex, start, v0, false)
 	return secs
 }
@@ -164,7 +169,7 @@ func (b *Backend) CreateIndex(def engine.IndexDef) float64 {
 // RunQuery forwards and counts the timed-execution surface.
 func (b *Backend) RunQuery(q *engine.Query, timeout float64) engine.ExecResult {
 	start, v0 := time.Now(), b.Clock().Now()
-	res := b.Backend.RunQuery(q, timeout)
+	res := b.wrapped.RunQuery(q, timeout)
 	b.observe(runQuery, start, v0, !res.Complete)
 	return res
 }
@@ -172,7 +177,7 @@ func (b *Backend) RunQuery(q *engine.Query, timeout float64) engine.ExecResult {
 // Explain forwards and counts the EXPLAIN surface.
 func (b *Backend) Explain(q *engine.Query) []engine.JoinCost {
 	start, v0 := time.Now(), b.Clock().Now()
-	out := b.Backend.Explain(q)
+	out := b.wrapped.Explain(q)
 	b.observe(explain, start, v0, false)
 	return out
 }
